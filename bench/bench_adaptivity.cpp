@@ -5,11 +5,16 @@
 // the L-Tree adjusts itself by creating more slack between labels."
 //
 // Sweeps the hotspot skew and shows the amortized cost stays O(log n)-ish
-// across the whole range (the uniform bound continues to apply).
+// across the whole range (the uniform bound continues to apply). Checks:
+// every stream's cost per insert stays below the Section 3.1 bound.
 
 #include <cstdio>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench/bench_util.h"
+#include "common/string_util.h"
 #include "model/cost_model.h"
 
 using namespace ltree;
@@ -33,34 +38,24 @@ int main() {
   std::printf("%-22s %12s %10s %10s %8s\n", "stream", "cost/insert",
               "splits", "rootsplit", "bits");
 
-  // Uniform as the reference point.
-  {
-    workload::StreamOptions uniform;
-    uniform.kind = workload::StreamKind::kUniform;
-    uniform.seed = 97;
-    auto run = bench::RunInsertWorkload(params, initial, inserts, uniform);
-    std::printf("%-22s %12.2f %10llu %10llu %8u\n", "uniform",
-                run.amortized_node_accesses, (unsigned long long)run.splits,
-                (unsigned long long)run.root_splits, run.label_bits);
-  }
+  // Uniform as the reference point, then rising hotspot skew, then
+  // prepend (every insert at the same end).
+  std::vector<std::pair<std::string, workload::StreamOptions>> streams = {
+      {"uniform", {.kind = workload::StreamKind::kUniform, .seed = 97}}};
   for (double theta : {0.0, 0.5, 0.9, 1.2}) {
-    workload::StreamOptions hotspot;
-    hotspot.kind = workload::StreamKind::kHotspot;
-    hotspot.zipf_theta = theta;
-    hotspot.seed = 97;
-    auto run = bench::RunInsertWorkload(params, initial, inserts, hotspot);
-    std::printf("hotspot(theta=%.1f)     %12.2f %10llu %10llu %8u\n", theta,
-                run.amortized_node_accesses, (unsigned long long)run.splits,
-                (unsigned long long)run.root_splits, run.label_bits);
+    streams.push_back({StrFormat("hotspot(theta=%.1f)", theta),
+                       {.kind = workload::StreamKind::kHotspot,
+                        .zipf_theta = theta,
+                        .seed = 97}});
   }
-  {
-    workload::StreamOptions prepend;
-    prepend.kind = workload::StreamKind::kPrepend;
-    prepend.seed = 97;
-    auto run = bench::RunInsertWorkload(params, initial, inserts, prepend);
-    std::printf("%-22s %12.2f %10llu %10llu %8u\n", "prepend (max skew)",
+  streams.push_back({"prepend (max skew)",
+                     {.kind = workload::StreamKind::kPrepend, .seed = 97}});
+  for (const auto& [name, options] : streams) {
+    auto run = bench::RunInsertWorkload(params, initial, inserts, options);
+    std::printf("%-22s %12.2f %10llu %10llu %8u\n", name.c_str(),
                 run.amortized_node_accesses, (unsigned long long)run.splits,
                 (unsigned long long)run.root_splits, run.label_bits);
+    LTREE_CHECK(run.amortized_node_accesses < bound);
   }
   std::printf(
       "\nExpected: every row stays below the Section 3.1 bound; heavier "

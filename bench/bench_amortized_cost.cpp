@@ -4,7 +4,8 @@
 // amortized node accesses per uniform random insertion against the paper's
 // bound  cost(f,s,n) = (1 + 2f/(s-1)) * log n / log(f/s) + f.
 // Expected shape: measured <= bound, both growing logarithmically in n
-// (constant increments as n multiplies by 10).
+// (constant increments as n multiplies by 10). Checks: measured/bound < 1
+// on every row.
 
 #include <cstdio>
 
@@ -35,11 +36,12 @@ int main() {
       auto run = bench::RunInsertWorkload(p, n, inserts, stream);
       const double bound = model::CostModel::AmortizedInsertCost(
           p.f, p.s, static_cast<double>(n));
+      const double ratio = run.amortized_node_accesses / bound;
       std::printf("f=%-3u s=%-3u %12llu %12.1f %12.2f %10.2f %12.2f\n", p.f,
                   p.s, (unsigned long long)n, bound,
-                  run.amortized_node_accesses,
-                  run.amortized_node_accesses / bound,
+                  run.amortized_node_accesses, ratio,
                   1e6 * run.wall_seconds / static_cast<double>(inserts));
+      LTREE_CHECK(ratio < 1.0);
     }
     std::printf("\n");
   }

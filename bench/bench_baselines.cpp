@@ -6,12 +6,10 @@
 // density-scaled classical baseline) stay polylogarithmic with
 // O(log n)-bit labels.
 //
-// Usage:   bench_baselines [initial] [inserts] [json_path]
+// Usage:   bench_baselines [initial] [inserts]
 //
-// Besides the human-readable table, the run is dumped as machine-readable
-// JSON (default ./BENCH_baselines.json) so CI can track the perf
-// trajectory: one record per (stream, scheme) with relabels/insert, label
-// bits, rebalances and wall time.
+// Checks: every (stream, scheme) run passes the store's invariant audit
+// and reports a nonzero label width.
 
 #include <cstdio>
 #include <cstdlib>
@@ -19,7 +17,6 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "common/string_util.h"
 #include "common/timer.h"
 #include "listlab/factory.h"
 #include "workload/update_stream.h"
@@ -29,8 +26,6 @@ using namespace ltree;
 namespace {
 
 struct Row {
-  std::string stream;
-  std::string spec;
   std::string scheme;
   double relabels_per_insert = 0.0;
   uint64_t rebalances = 0;
@@ -61,30 +56,9 @@ Row RunScheme(const std::string& spec, workload::StreamKind kind,
   }
   const double ms = timer.ElapsedMillis();
   LTREE_CHECK_OK(store->CheckInvariants());
-  return Row{workload::StreamKindName(kind),
-             spec,
-             store->name(),
-             store->stats().RelabelsPerInsert(),
-             store->stats().rebalances,
-             store->label_bits(),
-             ms};
-}
-
-void WriteJson(const std::string& path, uint64_t initial, uint64_t inserts,
-               const std::vector<Row>& rows) {
-  bench::JsonWriter json("baselines");
-  json.Field("initial", initial).Field("inserts", inserts);
-  for (const Row& r : rows) {
-    json.BeginRecord()
-        .Field("stream", r.stream)
-        .Field("spec", r.spec)
-        .Field("scheme", r.scheme)
-        .Field("relabels_per_insert", r.relabels_per_insert)
-        .Field("rebalances", r.rebalances)
-        .Field("label_bits", uint64_t{r.bits})
-        .Field("wall_ms", r.millis);
-  }
-  json.WriteFile(path);
+  LTREE_CHECK(store->label_bits() > 0);
+  return Row{store->name(), store->stats().RelabelsPerInsert(),
+             store->stats().rebalances, store->label_bits(), ms};
 }
 
 }  // namespace
@@ -99,7 +73,6 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 4000;
   const uint64_t inserts =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 8000;
-  const std::string json_path = argc > 3 ? argv[3] : "BENCH_baselines.json";
 
   const char* specs[] = {"sequential", "gap:16",     "gap:1024",
                          "bender",     "ltree:16:4", "ltree:4:2",
@@ -109,7 +82,6 @@ int main(int argc, char** argv) {
                                         workload::StreamKind::kPrepend,
                                         workload::StreamKind::kHotspot};
 
-  std::vector<Row> rows;
   for (auto kind : kinds) {
     std::printf("--- stream: %s (initial=%llu, inserts=%llu) ---\n",
                 workload::StreamKindName(kind),
@@ -117,11 +89,10 @@ int main(int argc, char** argv) {
     std::printf("%-24s %16s %12s %6s %10s\n", "scheme", "relabels/insert",
                 "rebalances", "bits", "ms");
     for (const char* spec : specs) {
-      Row row = RunScheme(spec, kind, initial, inserts);
+      const Row row = RunScheme(spec, kind, initial, inserts);
       std::printf("%-24s %16.2f %12llu %6u %10.1f\n", row.scheme.c_str(),
                   row.relabels_per_insert,
                   (unsigned long long)row.rebalances, row.bits, row.millis);
-      rows.push_back(std::move(row));
     }
     std::printf("\n");
   }
@@ -130,6 +101,5 @@ int main(int argc, char** argv) {
       "and n\nrelabels per insert respectively while ltree/bender stay in "
       "the tens; 'append'\nis cheap for everyone (the L-Tree splits but "
       "amortizes); gap schemes degrade\nas soon as a region fills.\n\n");
-  WriteJson(json_path, initial, inserts, rows);
   return 0;
 }

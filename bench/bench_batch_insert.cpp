@@ -10,19 +10,19 @@
 //   * allocs/leaf    — fresh NodeArena allocations per inserted leaf (real
 //                      heap growth; the free-list recycles rebuild
 //                      skeletons, so this stays near 1);
-//   * requests/leaf  — total allocation requests per leaf (fresh + reused;
-//                      exactly the `new` count the pre-arena code issued,
-//                      i.e. the pre-PR allocations-per-insert baseline);
-//   * reuse%         — share of requests served by recycling.
+//   * reuse%         — share of allocation requests (fresh + reused)
+//                      served by recycling;
+//   * mallocs/leaf   — system allocations (256-node arena chunks) per leaf.
 //
-// Usage:   bench_batch_insert [initial] [total_leaves] [json_path]
+// Usage:   bench_batch_insert [initial] [total_leaves]
 //
-// The run is also dumped as machine-readable BENCH_batch_insert.json
-// (bench::JsonWriter shape) so CI can track the perf trajectory.
+// Checks, per k: the measured cost stays within the batch(f,s,n,k) bound
+// (0 < vs bound <= 1); the plan/apply pipeline runs exactly one relabel
+// pass per batch operation, i.e. ceil(total/k) of them; node allocations
+// are nonzero and arena chunks keep system mallocs below one per leaf.
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -36,15 +36,10 @@ namespace {
 struct BatchRunResult {
   double cost_per_leaf = 0.0;  // paper's amortized node accesses
   double wall_ms = 0.0;
-  uint64_t splits = 0;
-  uint64_t relabel_passes = 0;     // plan/apply: one per batch op
-  uint64_t escalations = 0;        // levels folded by the planner
-  uint64_t coalesced_regions = 0;  // regions that absorbed >= 1 level
-  uint64_t nodes_allocated = 0;    // fresh arena allocations
+  uint64_t relabel_passes = 0;   // plan/apply: one per batch op
+  uint64_t nodes_allocated = 0;  // fresh arena allocations
   uint64_t nodes_reused = 0;
-  uint64_t nodes_released = 0;
   uint64_t heap_allocs = 0;  // actual system allocations (arena chunks)
-  bench::LatencySummary op_latency;  // per-InsertBatchAfter call, ns
 
   uint64_t AllocRequests() const { return nodes_allocated + nodes_reused; }
 };
@@ -64,32 +59,24 @@ BatchRunResult RunBatched(const Params& params, uint64_t initial,
   uint64_t remaining = total_leaves;
   uint64_t next_cookie = initial;
   const uint64_t chunks_before = tree->arena_stats().chunks;
-  bench::LatencyCollector latency(total_leaves / k + 1);
   Timer timer;
   while (remaining > 0) {
     const uint64_t batch = std::min(k, remaining);
     batch_cookies.resize(batch);
     for (uint64_t i = 0; i < batch; ++i) batch_cookies[i] = next_cookie++;
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
-    const Timer op_timer;
     LTREE_CHECK_OK(
         tree->InsertBatchAfter(handles[r], batch_cookies, &handles));
-    latency.Record(op_timer.ElapsedNanos());
     remaining -= batch;
   }
   BatchRunResult out;
   out.wall_ms = timer.ElapsedMillis();
-  out.op_latency = latency.Summarize();
   LTREE_CHECK_OK(tree->CheckInvariants());
   const LTreeStats& st = tree->stats();
   out.cost_per_leaf = st.AmortizedCostPerInsert();
-  out.splits = st.splits + st.root_splits;
   out.relabel_passes = st.relabel_passes;
-  out.escalations = st.escalations;
-  out.coalesced_regions = st.coalesced_regions;
   out.nodes_allocated = st.nodes_allocated;
   out.nodes_reused = st.nodes_reused;
-  out.nodes_released = st.nodes_released;
   out.heap_allocs = tree->arena_stats().chunks - chunks_before;
   return out;
 }
@@ -107,8 +94,6 @@ int main(int argc, char** argv) {
       argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 100000;
   const uint64_t total =
       argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 50000;
-  const std::string json_path =
-      argc > 3 ? argv[3] : "BENCH_batch_insert.json";
 
   std::printf("params f=%u s=%u, initial n=%llu, %llu leaves inserted total\n\n",
               params.f, params.s, (unsigned long long)initial,
@@ -116,12 +101,6 @@ int main(int argc, char** argv) {
   std::printf("%8s %12s %14s %9s %8s %9s %12s %7s %13s\n", "k", "bound(4.1)",
               "measured/leaf", "vs bound", "vs k=1", "wall_ms",
               "allocs/leaf", "reuse%", "mallocs/leaf");
-
-  bench::JsonWriter json("batch_insert");
-  json.Field("f", uint64_t{params.f})
-      .Field("s", uint64_t{params.s})
-      .Field("initial", initial)
-      .Field("total_leaves", total);
 
   double k1_cost = 0.0;
   for (uint64_t k : {1, 2, 4, 16, 64, 256, 1024, 4096}) {
@@ -132,8 +111,6 @@ int main(int argc, char** argv) {
         static_cast<double>(k));
     const double allocs_per_leaf =
         static_cast<double>(r.nodes_allocated) / static_cast<double>(total);
-    const double requests_per_leaf =
-        static_cast<double>(r.AllocRequests()) / static_cast<double>(total);
     const double reuse_pct =
         r.AllocRequests() == 0
             ? 0.0
@@ -150,21 +127,10 @@ int main(int argc, char** argv) {
         (unsigned long long)k, bound, r.cost_per_leaf, bound_ratio,
         k1_cost / r.cost_per_leaf, r.wall_ms, allocs_per_leaf, reuse_pct,
         mallocs_per_leaf);
-    json.BeginRecord()
-        .Field("k", k)
-        .Field("bound", bound)
-        .Field("cost_per_leaf", r.cost_per_leaf)
-        .Field("cost_vs_bound", bound_ratio)
-        .Field("wall_ms", r.wall_ms)
-        .Field("allocs_per_leaf", allocs_per_leaf)
-        .Field("alloc_requests_per_leaf", requests_per_leaf)
-        .Field("reuse_pct", reuse_pct)
-        .Field("mallocs_per_leaf", mallocs_per_leaf)
-        .Field("splits", r.splits)
-        .Field("relabel_passes", r.relabel_passes)
-        .Field("escalations", r.escalations)
-        .Field("coalesced_regions", r.coalesced_regions);
-    r.op_latency.EmitFields(&json, "op");
+    LTREE_CHECK(bound_ratio > 0.0 && bound_ratio <= 1.0);
+    LTREE_CHECK(r.relabel_passes == (total + k - 1) / k);
+    LTREE_CHECK(allocs_per_leaf > 0.0);
+    LTREE_CHECK(mallocs_per_leaf < 1.0);
   }
   std::printf(
       "\nExpected: the measured column decreases as k grows, tracking the "
@@ -175,6 +141,5 @@ int main(int argc, char** argv) {
       "growth that remains after\nfree-list recycling; mallocs/leaf is "
       "actual system allocations — arena\nchunks of 256 nodes — so the "
       "allocator leaves the hot path entirely.\n\n");
-  json.WriteFile(json_path);
   return 0;
 }

@@ -10,7 +10,8 @@
 // formula and the virtual L-Tree (Section 4.2) are derived from. This
 // implementation follows Section 2.1 (base f+1 = 5); the structural
 // behaviour (which node splits, which leaves relabel) matches the figure
-// exactly.
+// exactly. Checks: the join finds both titles; the first insertion does not
+// split and the second splits once.
 
 #include <cstdio>
 
@@ -46,6 +47,7 @@ void Figure1() {
   std::printf("\nbook//title via structural join: %zu matches "
               "(paper: both titles)\n",
               pairs.size());
+  LTREE_CHECK(pairs.size() == 2);
   for (const auto& [a, d] : pairs) {
     std::printf("  (%llu,%llu) contains (%llu,%llu)\n",
                 (unsigned long long)a->region.start,
@@ -85,12 +87,14 @@ void Figure2() {
               "splits=%llu (paper: none), leaves relabeled=%llu\n",
               (unsigned long long)tree->stats().splits,
               (unsigned long long)tree->stats().leaves_relabeled);
+  LTREE_CHECK(tree->stats().splits == 0);
   PrintLeafLine(*tree);
 
   (void)tree->InsertAfter(d_begin, 101).ValueOrDie();
   std::printf("(d) insert end tag \"/D\": splits=%llu (paper: the height-1 "
               "node numbered \"begin-of-C\" splits into s=2)\n",
               (unsigned long long)tree->stats().splits);
+  LTREE_CHECK(tree->stats().splits == 1);
   PrintLeafLine(*tree);
   std::printf("\nfinal structure:\n%s", tree->DebugString().c_str());
   LTREE_CHECK_OK(tree->CheckInvariants());

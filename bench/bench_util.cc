@@ -17,7 +17,6 @@
 #include <sched.h>
 #endif
 
-#include "common/string_util.h"
 #include "common/timer.h"
 
 namespace ltree {
@@ -95,119 +94,12 @@ InsertRunResult RunInsertWorkload(
 
   const LTreeStats& st = tree->stats();
   out.amortized_node_accesses = st.AmortizedCostPerInsert();
-  out.relabels_per_insert =
-      inserts == 0 ? 0.0
-                   : static_cast<double>(st.leaves_relabeled) /
-                         static_cast<double>(inserts);
   out.splits = st.splits;
   out.root_splits = st.root_splits;
   out.label_bits = tree->label_bits();
-  out.height = tree->height();
   out.max_label = tree->max_label();
   LTREE_CHECK_OK(tree->CheckInvariants());
   return out;
-}
-
-// ---------------------------------------------------------------------------
-// JsonWriter
-// ---------------------------------------------------------------------------
-
-namespace {
-
-std::string QuoteJson(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out += StrFormat("\\u%04x", c);
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-  return out;
-}
-
-void PrintFields(FILE* f, const std::vector<std::pair<std::string, std::string>>&
-                              fields,
-                 const char* separator) {
-  for (size_t i = 0; i < fields.size(); ++i) {
-    std::fprintf(f, "%s%s: %s", i == 0 ? "" : separator,
-                 QuoteJson(fields[i].first).c_str(), fields[i].second.c_str());
-  }
-}
-
-}  // namespace
-
-JsonWriter::JsonWriter(std::string bench_name)
-    : bench_name_(std::move(bench_name)) {}
-
-void JsonWriter::Add(const std::string& key, std::string encoded) {
-  Fields& target = records_.empty() ? top_ : records_.back();
-  target.emplace_back(key, std::move(encoded));
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, uint64_t value) {
-  Add(key, StrFormat("%llu", static_cast<unsigned long long>(value)));
-  return *this;
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key, double value) {
-  Add(key, StrFormat("%.4f", value));
-  return *this;
-}
-
-JsonWriter& JsonWriter::Field(const std::string& key,
-                              const std::string& value) {
-  Add(key, QuoteJson(value));
-  return *this;
-}
-
-JsonWriter& JsonWriter::BeginRecord() {
-  records_.emplace_back();
-  return *this;
-}
-
-bool JsonWriter::WriteFile(const std::string& path) const {
-  FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return false;
-  }
-  std::fprintf(f, "{\n  \"bench\": %s", QuoteJson(bench_name_).c_str());
-  if (!top_.empty()) {
-    std::fprintf(f, ",\n  ");
-    PrintFields(f, top_, ",\n  ");
-  }
-  std::fprintf(f, ",\n  \"results\": [\n");
-  for (size_t i = 0; i < records_.size(); ++i) {
-    std::fprintf(f, "    {");
-    PrintFields(f, records_[i], ", ");
-    std::fprintf(f, "}%s\n", i + 1 < records_.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("wrote %zu records to %s\n", records_.size(), path.c_str());
-  return true;
 }
 
 namespace {
@@ -225,29 +117,13 @@ double Percentile(const std::vector<uint64_t>& sorted, double q) {
 
 LatencySummary LatencyCollector::Summarize() const {
   LatencySummary out;
-  out.count = samples_ns_.size();
   if (samples_ns_.empty()) return out;
   std::sort(samples_ns_.begin(), samples_ns_.end());
   out.p50_ns = Percentile(samples_ns_, 0.50);
-  out.p90_ns = Percentile(samples_ns_, 0.90);
   out.p99_ns = Percentile(samples_ns_, 0.99);
   out.p999_ns = Percentile(samples_ns_, 0.999);
   out.max_ns = static_cast<double>(samples_ns_.back());
-  double sum = 0.0;
-  for (uint64_t s : samples_ns_) sum += static_cast<double>(s);
-  out.mean_ns = sum / static_cast<double>(samples_ns_.size());
   return out;
-}
-
-void LatencySummary::EmitFields(JsonWriter* json,
-                                const std::string& prefix) const {
-  json->Field(prefix + "_samples", count)
-      .Field(prefix + "_p50_ns", p50_ns)
-      .Field(prefix + "_p90_ns", p90_ns)
-      .Field(prefix + "_p99_ns", p99_ns)
-      .Field(prefix + "_p999_ns", p999_ns)
-      .Field(prefix + "_mean_ns", mean_ns)
-      .Field(prefix + "_max_ns", max_ns);
 }
 
 int MaybePinCpu() {

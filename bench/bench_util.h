@@ -1,8 +1,9 @@
 // Shared helpers for the paper-reproduction bench harness.
 //
-// Each bench binary regenerates one experiment from DESIGN.md §4 and prints
-// a table with paper-predicted columns next to measured columns; the
-// EXPERIMENTS.md write-up records one run of each.
+// Each bench binary regenerates one of the paper's experiments (E1-E13),
+// prints a table with paper-predicted columns next to measured columns and
+// LTREE_CHECKs the claims it reproduces; bench/CMakeLists.txt registers
+// each one as a CTest test labelled `paper`.
 
 #ifndef LTREE_BENCH_BENCH_UTIL_H_
 #define LTREE_BENCH_BENCH_UTIL_H_
@@ -28,11 +29,9 @@ inline void PrintHeader(const std::string& experiment,
 /// Result of driving an LTree through a stream of single-leaf inserts.
 struct InsertRunResult {
   double amortized_node_accesses = 0.0;  // paper's cost metric
-  double relabels_per_insert = 0.0;
   uint64_t splits = 0;
   uint64_t root_splits = 0;
   uint32_t label_bits = 0;
-  uint32_t height = 0;
   uint64_t max_label = 0;
   double wall_seconds = 0.0;
 };
@@ -43,46 +42,6 @@ struct InsertRunResult {
 InsertRunResult RunInsertWorkload(const Params& params, uint64_t initial,
                                   uint64_t inserts,
                                   const workload::StreamOptions& stream_options);
-
-/// Machine-readable dump for the perf trajectory: every bench that wants CI
-/// to track its numbers emits a BENCH_<name>.json through this writer, so
-/// the files share one shape —
-///
-///   {
-///     "bench": "<name>",
-///     <top-level fields>,
-///     "results": [ {<record fields>}, ... ]
-///   }
-///
-/// Usage: construct, add top-level Field()s, then for each row call
-/// BeginRecord() followed by that row's Field()s. Fields added after the
-/// first BeginRecord() belong to the current record. Values keep insertion
-/// order.
-class JsonWriter {
- public:
-  explicit JsonWriter(std::string bench_name);
-
-  JsonWriter& Field(const std::string& key, uint64_t value);
-  JsonWriter& Field(const std::string& key, double value);
-  JsonWriter& Field(const std::string& key, const std::string& value);
-
-  /// Starts the next record in "results".
-  JsonWriter& BeginRecord();
-
-  size_t num_records() const { return records_.size(); }
-
-  /// Writes the document to `path` (and logs a one-line confirmation).
-  /// Returns false (with a stderr message) if the file cannot be written.
-  bool WriteFile(const std::string& path) const;
-
- private:
-  using Fields = std::vector<std::pair<std::string, std::string>>;
-  void Add(const std::string& key, std::string encoded);
-
-  std::string bench_name_;
-  Fields top_;
-  std::vector<Fields> records_;
-};
 
 /// Pins the calling thread to the core named by the BENCH_PIN_CPU env var
 /// (an integer core id) so tail percentiles stop absorbing migrations; a
@@ -100,26 +59,18 @@ inline void DoNotOptimize(T const& value) {
 
 /// Tail-latency summary of one collector's samples, in nanoseconds.
 struct LatencySummary {
-  uint64_t count = 0;
   double p50_ns = 0.0;
-  double p90_ns = 0.0;
   double p99_ns = 0.0;
   double p999_ns = 0.0;
-  double mean_ns = 0.0;
   double max_ns = 0.0;
-
-  /// Emits the percentile fields (prefixed, e.g. "op_p99_ns") into the
-  /// writer's current record.
-  void EmitFields(class JsonWriter* json, const std::string& prefix) const;
 };
 
-/// Per-operation latency recorder for the tail-latency columns of the
-/// perf-trajectory benches: call Record(ns) per op (or Sample() around it),
-/// then Summarize() for p50/p90/p99/p999. Percentiles use the
-/// nearest-rank method over the sorted sample buffer, so with fewer than
-/// 1000 samples p999 degrades to the max — callers wanting a meaningful
-/// tail record at least ~10k ops. Thread-compatible: one collector per
-/// thread, Merge() the buffers afterwards.
+/// Per-operation latency recorder for the tail-latency columns: call
+/// Record(ns) per op, then Summarize() for p50/p99/p999. Percentiles use
+/// the nearest-rank method over the sorted sample buffer, so with fewer
+/// than 1000 samples p999 degrades to the max — callers wanting a
+/// meaningful tail record at least ~10k ops. Thread-compatible: one
+/// collector per thread, Merge() the buffers afterwards.
 class LatencyCollector {
  public:
   explicit LatencyCollector(size_t expected_samples = 0) {
@@ -136,8 +87,6 @@ class LatencyCollector {
     samples_ns_.insert(samples_ns_.end(), other.samples_ns_.begin(),
                        other.samples_ns_.end());
   }
-
-  size_t count() const { return samples_ns_.size(); }
 
   /// Sorts the buffer and computes the summary (empty buffer -> zeros).
   LatencySummary Summarize() const;

@@ -6,8 +6,8 @@
 // pairs crossed with document sizes — and for every cell measures both
 // sides of the gap on the identical op stream:
 //
-//   * time: bulk-load and insert-stream wall milliseconds per side, and
-//     their ratio (the virtual scheme's extra O(log n) computation);
+//   * time: insert-stream wall milliseconds per side, and their ratio
+//     (the virtual scheme's extra O(log n) computation);
 //   * memory: measured heap bytes per side — both trees now carve nodes
 //     from 256-slot pool chunks, so this is chunk footprint plus per-node
 //     buffer capacities, not an estimate — and their ratio;
@@ -15,15 +15,14 @@
 //     MaintStats counters the virtual store used to report as zeros);
 //   * fidelity: the two representations must produce identical labels.
 //
-// Usage:   bench_virtual [n1] [n2] [json_path]
+// Usage:   bench_virtual [n1] [n2]
 //
-// Runs the sweep at initial sizes n1 and n2 (inserts = n/5 each) and dumps
-// machine-readable BENCH_virtual.json (bench::JsonWriter shape) so CI can
-// track the materialized-vs-virtual gap run over run.
+// Runs the sweep at initial sizes n1 and n2 (inserts = n/5 each). Checks,
+// per cell: identical labels on both sides, nonzero measured memory on
+// both sides, and nonzero node allocations on the virtual side.
 
 #include <cstdio>
 #include <cstdlib>
-#include <string>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -35,7 +34,6 @@ using namespace ltree;
 namespace {
 
 struct SideResult {
-  double load_ms = 0.0;
   double insert_ms = 0.0;
   double mem_mb = 0.0;
   std::vector<Label> labels;
@@ -44,8 +42,6 @@ struct SideResult {
 struct VirtResult : SideResult {
   uint64_t nodes_allocated = 0;
   uint64_t nodes_reused = 0;
-  uint64_t nodes_released = 0;
-  uint64_t arena_chunks = 0;
 };
 
 SideResult RunMaterialized(const Params& p, uint64_t initial,
@@ -55,9 +51,7 @@ SideResult RunMaterialized(const Params& p, uint64_t initial,
   std::vector<LeafCookie> cookies(initial);
   for (uint64_t i = 0; i < initial; ++i) cookies[i] = i;
   std::vector<LTree::LeafHandle> handles;
-  Timer load;
   LTREE_CHECK_OK(tree->BulkLoad(cookies, &handles));
-  out.load_ms = load.ElapsedMillis();
   Rng rng(71);
   Timer ins;
   for (uint64_t i = 0; i < inserts; ++i) {
@@ -97,10 +91,8 @@ VirtResult RunVirtual(const Params& p, uint64_t initial, uint64_t inserts) {
   std::vector<LeafCookie> cookies(initial);
   for (uint64_t i = 0; i < initial; ++i) cookies[i] = i;
   std::vector<Label> loaded;
-  Timer load;
   LTREE_CHECK_OK(tree->BulkLoad(cookies, &loaded));
   for (uint64_t i = 0; i < initial; ++i) label_of_cookie[i] = loaded[i];
-  out.load_ms = load.ElapsedMillis();
   tree->ResetStats();  // window the allocator counters to the insert stream
   Rng rng(71);  // same stream as the materialized runner
   Timer ins;
@@ -116,8 +108,6 @@ VirtResult RunVirtual(const Params& p, uint64_t initial, uint64_t inserts) {
   const VirtualLTreeStats& st = tree->stats();
   out.nodes_allocated = st.nodes_allocated;
   out.nodes_reused = st.nodes_reused;
-  out.nodes_released = st.nodes_released;
-  out.arena_chunks = st.arena_chunks;  // windowed like the other columns
   out.mem_mb = static_cast<double>(tree->ApproxMemoryBytes()) / 1e6;
   out.labels = tree->AllLabels();
   return out;
@@ -133,13 +123,9 @@ int main(int argc, char** argv) {
 
   const uint64_t n1 = argc > 1 ? std::strtoull(argv[1], nullptr, 10) : 10000;
   const uint64_t n2 = argc > 2 ? std::strtoull(argv[2], nullptr, 10) : 100000;
-  const std::string json_path = argc > 3 ? argv[3] : "BENCH_virtual.json";
 
   const Params param_grid[] = {
       {.f = 4, .s = 2}, {.f = 16, .s = 4}, {.f = 64, .s = 8}};
-
-  bench::JsonWriter json("virtual");
-  json.Field("n1", n1).Field("n2", n2);
 
   std::printf("%-12s %9s %8s | %9s %8s | %9s %8s %7s | %6s %6s | %7s\n",
               "params", "n", "inserts", "mat ins", "mat MB", "virt ins",
@@ -166,26 +152,9 @@ int main(int argc, char** argv) {
           (unsigned long long)inserts, mat.insert_ms, mat.mem_mb,
           virt.insert_ms, virt.mem_mb, reuse_pct, time_ratio, mem_ratio,
           equal ? "yes" : "NO");
-      json.BeginRecord()
-          .Field("f", uint64_t{params.f})
-          .Field("s", uint64_t{params.s})
-          .Field("n", n)
-          .Field("inserts", inserts)
-          .Field("mat_load_ms", mat.load_ms)
-          .Field("mat_insert_ms", mat.insert_ms)
-          .Field("mat_mem_mb", mat.mem_mb)
-          .Field("virt_load_ms", virt.load_ms)
-          .Field("virt_insert_ms", virt.insert_ms)
-          .Field("virt_mem_mb", virt.mem_mb)
-          .Field("insert_time_ratio", time_ratio)
-          .Field("mem_ratio", mem_ratio)
-          .Field("virt_nodes_allocated", virt.nodes_allocated)
-          .Field("virt_nodes_reused", virt.nodes_reused)
-          .Field("virt_nodes_released", virt.nodes_released)
-          .Field("virt_reuse_pct", reuse_pct)
-          .Field("virt_mallocs", virt.arena_chunks)
-          .Field("labels_equal", uint64_t{equal ? 1u : 0u});
       LTREE_CHECK(equal);
+      LTREE_CHECK(mat.mem_mb > 0.0 && virt.mem_mb > 0.0);
+      LTREE_CHECK(virt.nodes_allocated > 0);
     }
     std::printf("\n");
   }
@@ -200,6 +169,5 @@ int main(int argc, char** argv) {
       "which is where the insert-time ratio dropped from the\npre-pipeline "
       "~3.3x. Both sides' memory is measured from their node pools\n"
       "(256-node chunks).\n\n");
-  json.WriteFile(json_path);
   return 0;
 }

@@ -45,65 +45,9 @@ uint32_t UpperBoundBranchless(const Label* keys, uint32_t n, Label key) {
   return c;
 }
 
-// ----------------------------------------------------------------- sse2
+// ----------------------------------------------------------------- avx2
 
 #if LTREE_SEARCH_X86
-
-namespace {
-
-/// Unsigned 64-bit a > b per lane with SSE2 only (no _mm_cmpgt_epi64):
-/// flip every 32-bit lane's sign so signed 32-bit compares order like
-/// unsigned ones, then combine per-64-bit halves:
-/// gt64 = gt(hi) | (eq(hi) & gt(lo)).
-inline __m128i CmpGtU64Sse2(__m128i a, __m128i b) {
-  const __m128i sign32 = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  a = _mm_xor_si128(a, sign32);
-  b = _mm_xor_si128(b, sign32);
-  const __m128i gt = _mm_cmpgt_epi32(a, b);
-  const __m128i eq = _mm_cmpeq_epi32(a, b);
-  const __m128i gt_hi = _mm_shuffle_epi32(gt, _MM_SHUFFLE(3, 3, 1, 1));
-  const __m128i gt_lo = _mm_shuffle_epi32(gt, _MM_SHUFFLE(2, 2, 0, 0));
-  const __m128i eq_hi = _mm_shuffle_epi32(eq, _MM_SHUFFLE(3, 3, 1, 1));
-  return _mm_or_si128(gt_hi, _mm_and_si128(eq_hi, gt_lo));
-}
-
-/// Number of all-ones 64-bit lanes (0..2).
-inline uint32_t LaneCount2(__m128i m) {
-  return static_cast<uint32_t>(
-      __builtin_popcount(_mm_movemask_pd(_mm_castsi128_pd(m))));
-}
-
-}  // namespace
-
-uint32_t LowerBoundSse2(const Label* keys, uint32_t n, Label key) {
-  // lower_bound index == count(keys[i] < key) == count(key > keys[i]).
-  const __m128i probe = _mm_set1_epi64x(static_cast<long long>(key));
-  uint32_t c = 0;
-  uint32_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    c += LaneCount2(CmpGtU64Sse2(probe, v));
-  }
-  for (; i < n; ++i) c += keys[i] < key ? 1u : 0u;
-  return c;
-}
-
-uint32_t UpperBoundSse2(const Label* keys, uint32_t n, Label key) {
-  // upper_bound index == count(keys[i] <= key) == n - count(keys[i] > key).
-  const __m128i probe = _mm_set1_epi64x(static_cast<long long>(key));
-  uint32_t gt = 0;
-  uint32_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const __m128i v =
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(keys + i));
-    gt += LaneCount2(CmpGtU64Sse2(v, probe));
-  }
-  for (; i < n; ++i) gt += keys[i] > key ? 1u : 0u;
-  return n - gt;
-}
-
-// ----------------------------------------------------------------- avx2
 
 __attribute__((target("avx2"))) uint32_t LowerBoundAvx2(const Label* keys,
                                                         uint32_t n,
@@ -152,12 +96,6 @@ __attribute__((target("avx2"))) uint32_t UpperBoundAvx2(const Label* keys,
 
 // Non-x86 hosts never resolve to these kernels; keep the symbols defined
 // (as the portable fallback) so callers link everywhere.
-uint32_t LowerBoundSse2(const Label* keys, uint32_t n, Label key) {
-  return LowerBoundBranchless(keys, n, key);
-}
-uint32_t UpperBoundSse2(const Label* keys, uint32_t n, Label key) {
-  return UpperBoundBranchless(keys, n, key);
-}
 uint32_t LowerBoundAvx2(const Label* keys, uint32_t n, Label key) {
   return LowerBoundBranchless(keys, n, key);
 }
@@ -183,8 +121,8 @@ std::atomic<uint8_t> g_kernel{kUnresolved};
 
 Kernel DetectKernel() {
   if (const char* env = std::getenv("LTREE_SEARCH_KERNEL")) {
-    for (const Kernel k : {Kernel::kScalar, Kernel::kBranchless, Kernel::kSse2,
-                           Kernel::kAvx2}) {
+    for (const Kernel k :
+         {Kernel::kScalar, Kernel::kBranchless, Kernel::kAvx2}) {
       if (std::strcmp(env, KernelName(k)) == 0 && KernelAvailable(k)) {
         return k;
       }
@@ -194,10 +132,6 @@ Kernel DetectKernel() {
 #if LTREE_SEARCH_X86
   if (__builtin_cpu_supports("avx2")) return Kernel::kAvx2;
 #endif
-  // SSE2 is deliberately not auto-selected: emulating unsigned 64-bit
-  // compares in 128-bit lanes measures slower than the branchless scalar
-  // at every node width (see bench_search_micro). It stays reachable via
-  // LTREE_SEARCH_KERNEL=sse2 for A/B runs.
   return Kernel::kBranchless;
 }
 
@@ -212,10 +146,6 @@ void Install(Kernel k) {
     case Kernel::kBranchless:
       lower = LowerBoundBranchless;
       upper = UpperBoundBranchless;
-      break;
-    case Kernel::kSse2:
-      lower = LowerBoundSse2;
-      upper = UpperBoundSse2;
       break;
     case Kernel::kAvx2:
       lower = LowerBoundAvx2;
@@ -252,12 +182,6 @@ bool KernelAvailable(Kernel k) {
     case Kernel::kScalar:
     case Kernel::kBranchless:
       return true;
-    case Kernel::kSse2:
-#if LTREE_SEARCH_X86
-      return __builtin_cpu_supports("sse2") != 0;
-#else
-      return false;
-#endif
     case Kernel::kAvx2:
 #if LTREE_SEARCH_X86
       return __builtin_cpu_supports("avx2") != 0;
@@ -283,8 +207,6 @@ const char* KernelName(Kernel k) {
       return "scalar";
     case Kernel::kBranchless:
       return "branchless";
-    case Kernel::kSse2:
-      return "sse2";
     case Kernel::kAvx2:
       return "avx2";
   }

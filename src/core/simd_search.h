@@ -6,20 +6,18 @@
 // lives contiguously in the node's cache lines. For arrays this small
 // (node order <= 64), a branch-free linear "count keys below the probe" is
 // faster than std::lower_bound's unpredictable binary-search branches, and
-// vectorizes naturally: SSE2 compares two labels per step, AVX2 four.
+// vectorizes naturally: AVX2 compares four labels per step.
 //
 // Kernels (all return exactly std::lower_bound / std::upper_bound indices;
 // the array MUST be sorted ascending — the linear forms count comparisons,
 // which only equals the bound index on sorted input):
 //  * kScalar     — std::lower_bound reference (differential baseline).
 //  * kBranchless — branch-free linear sum; the portable fallback.
-//  * kSse2       — 2 labels/vector; unsigned 64-bit compare emulated with
-//                  sign-flipped 32-bit compares (SSE2 has no 64-bit cmpgt).
 //  * kAvx2       — 4 labels/vector via _mm256_cmpgt_epi64 + sign flip.
 //
 // Dispatch is resolved once, on first use, from cpuid
 // (__builtin_cpu_supports) — overridable by the LTREE_SEARCH_KERNEL env
-// var (scalar|branchless|sse2|avx2) or SetKernelForTest(), which CI uses to
+// var (scalar|branchless|avx2) or SetKernelForTest(), which CI uses to
 // exercise the scalar fallback on AVX2 hosts. The resolved function
 // pointers live in relaxed atomics: initialization is idempotent, so a racy
 // first call from two readers is benign (and TSan-clean).
@@ -34,7 +32,7 @@
 namespace ltree {
 namespace search {
 
-enum class Kernel : uint8_t { kScalar = 0, kBranchless, kSse2, kAvx2 };
+enum class Kernel : uint8_t { kScalar = 0, kBranchless, kAvx2 };
 
 /// Index of the first element >= key (std::lower_bound). `keys` must be
 /// sorted ascending; n is the element count (node orders keep n <= 65, but
@@ -45,13 +43,11 @@ uint32_t LowerBound(const Label* keys, uint32_t n, Label key);
 uint32_t UpperBound(const Label* keys, uint32_t n, Label key);
 
 // Per-kernel entry points for the differential test and the micro-bench.
-// The SIMD variants must only be called when KernelAvailable() says so.
+// The AVX2 variants must only be called when KernelAvailable() says so.
 uint32_t LowerBoundScalar(const Label* keys, uint32_t n, Label key);
 uint32_t UpperBoundScalar(const Label* keys, uint32_t n, Label key);
 uint32_t LowerBoundBranchless(const Label* keys, uint32_t n, Label key);
 uint32_t UpperBoundBranchless(const Label* keys, uint32_t n, Label key);
-uint32_t LowerBoundSse2(const Label* keys, uint32_t n, Label key);
-uint32_t UpperBoundSse2(const Label* keys, uint32_t n, Label key);
 uint32_t LowerBoundAvx2(const Label* keys, uint32_t n, Label key);
 uint32_t UpperBoundAvx2(const Label* keys, uint32_t n, Label key);
 
@@ -61,7 +57,7 @@ bool KernelAvailable(Kernel k);
 /// The kernel the dispatcher resolved (forcing resolution if needed).
 Kernel ActiveKernel();
 
-/// "scalar" / "branchless" / "sse2" / "avx2".
+/// "scalar" / "branchless" / "avx2".
 const char* KernelName(Kernel k);
 
 /// Forces the dispatcher to `k` (must be available). Used by the

@@ -139,8 +139,8 @@ void AuditNode(const Node* node, const Node* expected_parent,
                      "internal node with no children");
     return;
   }
-  // Fanout: at most f+1 children fit the (f+1)-ary label space (f steady
-  // state, f+1 transiently; see DESIGN notes in core/invariants.cc).
+  // Fanout: at most f+1 children fit the (f+1)-ary label space, whose
+  // child offsets are index(w) * (f+1)^{h(w)} for index(w) in [0, f].
   if (node->children.size() > static_cast<size_t>(ctx->params->f) + 1) {
     ctx->report->Add(path, "fanout",
                      StrFormat("fanout %zu exceeds f+1=%u at height %u",

@@ -86,7 +86,7 @@ class LTreeStore : public LabelStore, private RelabelListener {
                            std::vector<ItemHandle>* handles) override;
   Status EraseImpl(ItemHandle h) override;
   // GetLabel/GetCookie read only the atomic slot table and atomic leaf
-  // fields, so the LabelOfRead/CookieOfRead defaults are already lock-free
+  // fields, so the guarded reads, which call them directly, are lock-free
   // safe for this store.
   void SnapshotImpl(
       std::vector<std::pair<Label, LeafCookie>>* out) const override;

@@ -134,12 +134,12 @@ LabelStore::ReadGuard LabelStore::AcquireRead() const {
 
 Result<Label> LabelStore::LabelOf(const ReadGuard& /*guard*/,
                                   ItemHandle h) const {
-  return LabelOfRead(h);
+  return GetLabel(h);
 }
 
 Result<LeafCookie> LabelStore::CookieOf(const ReadGuard& /*guard*/,
                                         ItemHandle h) const {
-  return CookieOfRead(h);
+  return GetCookie(h);
 }
 
 Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
@@ -149,8 +149,8 @@ Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
   };
   if (concurrency_mode() == ConcurrencyMode::kSerializedReads) {
     // The guard's shared lock already excludes writers.
-    LTREE_ASSIGN_OR_RETURN(Label la, LabelOfRead(a));
-    LTREE_ASSIGN_OR_RETURN(Label lb, LabelOfRead(b));
+    LTREE_ASSIGN_OR_RETURN(Label la, GetLabel(a));
+    LTREE_ASSIGN_OR_RETURN(Label lb, GetLabel(b));
     return compare(la, lb);
   }
   // Lock-free: both loads are individually safe; the seqlock detects a
@@ -159,8 +159,8 @@ Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
   for (int attempt = 0; attempt < kSeqlockRetries; ++attempt) {
     const uint64_t s1 = write_seq_.load(std::memory_order_seq_cst);
     if ((s1 & 1) != 0) continue;  // writer section open; spin
-    auto la = LabelOfRead(a);
-    auto lb = LabelOfRead(b);
+    auto la = GetLabel(a);
+    auto lb = GetLabel(b);
     const uint64_t s2 = write_seq_.load(std::memory_order_seq_cst);
     if (s1 != s2) continue;  // a writer intervened; retry the pair
     if (!la.ok()) return la.status();
@@ -170,8 +170,8 @@ Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
   // A writer kept the seqlock hot (e.g. a long rebuild burst): fall back
   // to a brief shared lock for one consistent pair.
   std::shared_lock<std::shared_mutex> lock(rw_mutex_);
-  LTREE_ASSIGN_OR_RETURN(Label la, LabelOfRead(a));
-  LTREE_ASSIGN_OR_RETURN(Label lb, LabelOfRead(b));
+  LTREE_ASSIGN_OR_RETURN(Label la, GetLabel(a));
+  LTREE_ASSIGN_OR_RETURN(Label lb, GetLabel(b));
   return compare(la, lb);
 }
 

@@ -271,9 +271,12 @@ class LabelStore {
   // ---------------------------------------------------------------- queries
 
   /// Current label of a live item. Order of labels == list order.
+  /// LabelOf and CompareOrder call this under a guard, so a kLockFreeReads
+  /// scheme must implement it with atomic loads only.
   virtual Result<Label> GetLabel(ItemHandle h) const = 0;
 
-  /// The client payload attached at insertion time.
+  /// The client payload attached at insertion time. CookieOf calls this
+  /// under a guard, with the same requirement as GetLabel.
   virtual Result<LeafCookie> GetCookie(ItemHandle h) const = 0;
 
   /// Live item count.
@@ -343,14 +346,6 @@ class LabelStore {
   virtual Status PushBackBatchImpl(std::span<const LeafCookie> cookies,
                                    std::vector<ItemHandle>* handles);
   virtual Status EraseImpl(ItemHandle h) = 0;
-
-  /// Guard-protected single reads. Lock-free schemes override with
-  /// atomics-only implementations; the default forwards to the plain
-  /// queries, correct under the serialized guard's shared lock.
-  virtual Result<Label> LabelOfRead(ItemHandle h) const { return GetLabel(h); }
-  virtual Result<LeafCookie> CookieOfRead(ItemHandle h) const {
-    return GetCookie(h);
-  }
 
   /// (label, cookie) of every live item in list order; called with the
   /// shared lock held (writers excluded).

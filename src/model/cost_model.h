@@ -1,6 +1,6 @@
 // The paper's Section 3 analytical model, as executable formulas.
 //
-// Reconstructed forms (see DESIGN.md §1 for the OCR notes):
+// Forms as reconstructed from the paper's Sections 3.1 and 4.1:
 //   height(f,s,n)  = ceil(log_{f/s} n)            (bulk-loaded tree height)
 //   cost(f,s,n)    = (1 + 2f/(s-1)) * log n / log(f/s) + f
 //                    — amortized node accesses per insertion: the h term for

@@ -68,7 +68,7 @@ class MirrorStore {
   /// message pinpoints the first divergence.
   Status CheckEquivalent(const DocumentStore& primary) const;
 
-  // Sync-path observability (bench_docstore reports these).
+  // Sync-path observability.
   uint64_t delta_syncs() const { return delta_syncs_; }
   uint64_t snapshot_syncs() const { return snapshot_syncs_; }
   uint64_t events_applied() const { return events_applied_; }

@@ -1,5 +1,5 @@
-// Synthetic XML document generators (substitute for unspecified real
-// corpora — see DESIGN.md §5). All generators are seed-deterministic.
+// Synthetic XML document generators (the paper names no real corpora).
+// All generators are seed-deterministic.
 
 #ifndef LTREE_WORKLOAD_XML_GENERATOR_H_
 #define LTREE_WORKLOAD_XML_GENERATOR_H_

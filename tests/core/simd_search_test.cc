@@ -1,5 +1,5 @@
 // Differential coverage for core/simd_search.h: every kernel (scalar,
-// branchless, SSE2, AVX2 — as available on the host) must return exactly
+// branchless, AVX2 — as available on the host) must return exactly
 // std::lower_bound / std::upper_bound on every width a tree node can have,
 // including adversarial shapes: boundary duplicates, all-equal runs, and
 // min/max labels. Also pins the dispatcher (cpuid default, env override,
@@ -32,9 +32,6 @@ std::vector<KernelFns> AvailableKernels() {
       {Kernel::kScalar, LowerBoundScalar, UpperBoundScalar},
       {Kernel::kBranchless, LowerBoundBranchless, UpperBoundBranchless},
   };
-  if (KernelAvailable(Kernel::kSse2)) {
-    out.push_back({Kernel::kSse2, LowerBoundSse2, UpperBoundSse2});
-  }
   if (KernelAvailable(Kernel::kAvx2)) {
     out.push_back({Kernel::kAvx2, LowerBoundAvx2, UpperBoundAvx2});
   }
@@ -135,8 +132,7 @@ TEST(SimdSearchTest, EnvOverrideForcesScalarPath) {
 }
 
 TEST(SimdSearchTest, KernelNamesRoundTrip) {
-  for (Kernel k : {Kernel::kScalar, Kernel::kBranchless, Kernel::kSse2,
-                   Kernel::kAvx2}) {
+  for (Kernel k : {Kernel::kScalar, Kernel::kBranchless, Kernel::kAvx2}) {
     EXPECT_STRNE(KernelName(k), "unknown");
   }
 }

@@ -24,6 +24,13 @@ struct EndToEndCase {
   uint64_t books;
 };
 
+// Prints the fields, not gtest's default raw bytes: those include the
+// spec pointer, which ASLR changes on every run, and CTest names are built
+// from this output. The spec is already in the test name's suffix.
+void PrintTo(const EndToEndCase& c, std::ostream* os) {
+  *os << c.books << " books";
+}
+
 class EndToEndTest : public ::testing::TestWithParam<EndToEndCase> {};
 
 TEST_P(EndToEndTest, FullPipelineStaysConsistent) {

@@ -110,6 +110,11 @@ struct BadCase {
   const char* input;
 };
 
+// Without a printer gtest prints the raw bytes of the struct, i.e. the
+// pointer values, which ASLR changes on every run; the CTest names that
+// gtest_discover_tests builds from that output would change per build.
+void PrintTo(const BadCase& c, std::ostream* os) { *os << c.name; }
+
 class ParserErrorTest : public ::testing::TestWithParam<BadCase> {};
 
 TEST_P(ParserErrorTest, RejectsMalformedInput) {
