@@ -64,10 +64,17 @@ Status LabeledDocument::BulkLoadFromDocument() {
   std::vector<ItemHandle> handles;
   LTREE_RETURN_IF_ERROR(store_->BulkLoad(cookies, &handles));
 
+  LTREE_RETURN_IF_ERROR(RegisterStream(stream, handles));
+  return table_.Finalize();
+}
+
+Status LabeledDocument::RegisterStream(std::span<const xml::TagEntry> stream,
+                                       std::span<const ItemHandle> handles) {
   for (size_t i = 0; i < stream.size(); ++i) {
-    const xml::TagEntry& entry = stream[i];
-    LeafPair& pair = leaves_[entry.node->id];
-    if (entry.kind == xml::TagEntry::Kind::kEnd) {
+    const xml::NodeId id = stream[i].node->id;
+    if (id >= leaves_.size()) leaves_.resize(id + 1);
+    LeafPair& pair = leaves_[id];
+    if (stream[i].kind == xml::TagEntry::Kind::kEnd) {
       pair.end = handles[i];
     } else {
       pair.begin = handles[i];
@@ -75,10 +82,9 @@ Status LabeledDocument::BulkLoadFromDocument() {
   }
   for (const xml::TagEntry& entry : stream) {
     if (entry.kind != xml::TagEntry::Kind::kBegin) continue;
-    LTREE_RETURN_IF_ERROR(
-        RegisterNode(entry.node, leaves_[entry.node->id]));
+    LTREE_RETURN_IF_ERROR(RegisterNode(entry.node, leaves_[entry.node->id]));
   }
-  return table_.Finalize();
+  return Status::OK();
 }
 
 Status LabeledDocument::RegisterNode(const xml::Node* node, LeafPair leaves) {
@@ -99,42 +105,66 @@ void LabeledDocument::OnRelabel(LeafCookie cookie, Label old_label,
                                 Label new_label) {
   (void)old_label;
   const xml::NodeId id = cookie >> 1;
-  const bool is_end = (cookie & 1) != 0;
-  // Text nodes and not-yet-registered fresh nodes have no table row; ignore
-  // the NotFound.
-  Status st = is_end ? table_.UpdateEnd(id, new_label)
-                     : table_.UpdateStart(id, new_label);
-  (void)st;
+  // Only live elements have a row: text nodes have no end leaf, and the
+  // leaves of fresh, deleted or tombstoned nodes are not (or no longer)
+  // registered.
+  if (id >= leaves_.size() || leaves_[id].end == kInvalidItemHandle) return;
+  Status st = (cookie & 1) != 0 ? table_.UpdateEnd(id, new_label)
+                                : table_.UpdateStart(id, new_label);
+  (void)st;  // CheckConsistency reports a row that went missing
+}
+
+const LabeledDocument::LeafPair* LabeledDocument::FindLeaves(
+    xml::NodeId id) const {
+  if (id >= leaves_.size() || leaves_[id].begin == kInvalidItemHandle) {
+    return nullptr;
+  }
+  return &leaves_[id];
+}
+
+Result<xml::Node*> LabeledDocument::LiveParent(xml::NodeId parent_id) const {
+  const LeafPair* leaves = FindLeaves(parent_id);
+  if (leaves == nullptr || leaves->end == kInvalidItemHandle) {
+    return Status::NotFound("parent is not a live element");
+  }
+  xml::Node* parent = doc_.FindById(parent_id);
+  LTREE_CHECK(parent != nullptr);
+  return parent;
+}
+
+Result<xml::Node*> LabeledDocument::ResolveSibling(const xml::Node* parent,
+                                                   xml::NodeId after) const {
+  if (after == 0) return static_cast<xml::Node*>(nullptr);
+  xml::Node* sibling = doc_.FindById(after);
+  if (sibling == nullptr || sibling->parent != parent) {
+    return Status::NotFound("after_sibling is not a child of parent");
+  }
+  return sibling;
+}
+
+ItemHandle LabeledDocument::LastLeaf(const xml::Node* node) const {
+  const LeafPair& leaves = leaves_[node->id];
+  return leaves.end != kInvalidItemHandle ? leaves.end : leaves.begin;
+}
+
+Status LabeledDocument::InsertLeaves(const xml::Node* parent,
+                                     const xml::Node* sibling,
+                                     std::span<const LeafCookie> cookies,
+                                     std::vector<ItemHandle>* handles) {
+  return sibling == nullptr
+             ? store_->InsertBatchBefore(leaves_[parent->id].end, cookies,
+                                         handles)
+             : store_->InsertBatchAfter(LastLeaf(sibling), cookies, handles);
 }
 
 // ---------------------------------------------------------------------------
 // Updates
 // ---------------------------------------------------------------------------
 
-namespace {
-
-/// Resolves the insertion anchor inside `parent`:
-///  - returns the node to insert after (nullptr = append as last child).
-Result<xml::Node*> ResolveSibling(xml::Node* parent, xml::NodeId after) {
-  if (after == 0) return static_cast<xml::Node*>(nullptr);
-  for (xml::Node* c = parent->first_child; c != nullptr;
-       c = c->next_sibling) {
-    if (c->id == after) return c;
-  }
-  return Status::NotFound("after_sibling is not a child of parent");
-}
-
-}  // namespace
-
 Result<xml::NodeId> LabeledDocument::InsertElement(xml::NodeId parent_id,
                                                    xml::NodeId after_sibling,
                                                    std::string tag) {
-  auto pit = leaves_.find(parent_id);
-  if (pit == leaves_.end() || pit->second.end == kInvalidItemHandle) {
-    return Status::NotFound("parent is not a live element");
-  }
-  xml::Node* parent = doc_.FindById(parent_id);
-  LTREE_CHECK(parent != nullptr);
+  LTREE_ASSIGN_OR_RETURN(xml::Node * parent, LiveParent(parent_id));
   LTREE_ASSIGN_OR_RETURN(xml::Node * sibling,
                          ResolveSibling(parent, after_sibling));
 
@@ -146,34 +176,21 @@ Result<xml::NodeId> LabeledDocument::InsertElement(xml::NodeId parent_id,
 
   const LeafCookie cookies[2] = {BeginCookie(fresh->id), EndCookie(fresh->id)};
   std::vector<ItemHandle> handles;
-  Status st;
-  if (sibling == nullptr) {
-    st = store_->InsertBatchBefore(pit->second.end, cookies, &handles);
-  } else {
-    const LeafPair& sib = leaves_.at(sibling->id);
-    const ItemHandle anchor =
-        sib.end != kInvalidItemHandle ? sib.end : sib.begin;
-    st = store_->InsertBatchAfter(anchor, cookies, &handles);
-  }
+  Status st = InsertLeaves(parent, sibling, cookies, &handles);
   if (!st.ok()) {
     LTREE_CHECK_OK(doc_.Remove(fresh));
     return st;
   }
-  LeafPair pair{handles[0], handles[1]};
-  leaves_[fresh->id] = pair;
-  LTREE_RETURN_IF_ERROR(RegisterNode(fresh, pair));
+  const xml::TagEntry stream[2] = {{xml::TagEntry::Kind::kBegin, fresh},
+                                   {xml::TagEntry::Kind::kEnd, fresh}};
+  LTREE_RETURN_IF_ERROR(RegisterStream(stream, handles));
   return fresh->id;
 }
 
 Result<xml::NodeId> LabeledDocument::InsertText(xml::NodeId parent_id,
                                                 xml::NodeId after_sibling,
                                                 std::string text) {
-  auto pit = leaves_.find(parent_id);
-  if (pit == leaves_.end() || pit->second.end == kInvalidItemHandle) {
-    return Status::NotFound("parent is not a live element");
-  }
-  xml::Node* parent = doc_.FindById(parent_id);
-  LTREE_CHECK(parent != nullptr);
+  LTREE_ASSIGN_OR_RETURN(xml::Node * parent, LiveParent(parent_id));
   LTREE_ASSIGN_OR_RETURN(xml::Node * sibling,
                          ResolveSibling(parent, after_sibling));
 
@@ -183,20 +200,17 @@ Result<xml::NodeId> LabeledDocument::InsertText(xml::NodeId parent_id,
                       : doc_.InsertAfter(parent, sibling, fresh);
   LTREE_RETURN_IF_ERROR(attach);
 
-  Result<ItemHandle> handle = [&]() -> Result<ItemHandle> {
-    if (sibling == nullptr) {
-      return store_->InsertBefore(pit->second.end, BeginCookie(fresh->id));
-    }
-    const LeafPair& sib = leaves_.at(sibling->id);
-    const ItemHandle anchor =
-        sib.end != kInvalidItemHandle ? sib.end : sib.begin;
-    return store_->InsertAfter(anchor, BeginCookie(fresh->id));
-  }();
+  const LeafCookie cookie = BeginCookie(fresh->id);
+  Result<ItemHandle> handle =
+      sibling == nullptr
+          ? store_->InsertBefore(leaves_[parent->id].end, cookie)
+          : store_->InsertAfter(LastLeaf(sibling), cookie);
   if (!handle.ok()) {
     LTREE_CHECK_OK(doc_.Remove(fresh));
     return handle.status();
   }
-  leaves_[fresh->id] = LeafPair{*handle, kInvalidItemHandle};
+  const xml::TagEntry entry{xml::TagEntry::Kind::kText, fresh};
+  LTREE_RETURN_IF_ERROR(RegisterStream({&entry, 1}, {&*handle, 1}));
   return fresh->id;
 }
 
@@ -218,13 +232,8 @@ xml::Node* LabeledDocument::CopySubtree(const xml::Node* src,
 Result<xml::NodeId> LabeledDocument::InsertFragment(xml::NodeId parent_id,
                                                     xml::NodeId after_sibling,
                                                     std::string_view fragment) {
-  auto pit = leaves_.find(parent_id);
-  if (pit == leaves_.end() || pit->second.end == kInvalidItemHandle) {
-    return Status::NotFound("parent is not a live element");
-  }
+  LTREE_ASSIGN_OR_RETURN(xml::Node * parent, LiveParent(parent_id));
   LTREE_ASSIGN_OR_RETURN(xml::Document frag, xml::Parse(fragment));
-  xml::Node* parent = doc_.FindById(parent_id);
-  LTREE_CHECK(parent != nullptr);
   LTREE_ASSIGN_OR_RETURN(xml::Node * sibling,
                          ResolveSibling(parent, after_sibling));
 
@@ -264,38 +273,19 @@ Result<xml::NodeId> LabeledDocument::InsertFragment(xml::NodeId parent_id,
   }
 
   std::vector<ItemHandle> handles;
-  Status st;
-  if (sibling == nullptr) {
-    st = store_->InsertBatchBefore(pit->second.end, cookies, &handles);
-  } else {
-    const LeafPair& sib = leaves_.at(sibling->id);
-    const ItemHandle anchor =
-        sib.end != kInvalidItemHandle ? sib.end : sib.begin;
-    st = store_->InsertBatchAfter(anchor, cookies, &handles);
-  }
+  Status st = InsertLeaves(parent, sibling, cookies, &handles);
   if (!st.ok()) {
     LTREE_CHECK_OK(doc_.Remove(clone_root));
     return st;
   }
-
-  for (size_t i = 0; i < stream.size(); ++i) {
-    LeafPair& pair = leaves_[stream[i].node->id];
-    if (stream[i].kind == xml::TagEntry::Kind::kEnd) {
-      pair.end = handles[i];
-    } else {
-      pair.begin = handles[i];
-    }
-  }
-  for (const xml::TagEntry& entry : stream) {
-    if (entry.kind != xml::TagEntry::Kind::kBegin) continue;
-    LTREE_RETURN_IF_ERROR(RegisterNode(entry.node, leaves_[entry.node->id]));
-  }
+  LTREE_RETURN_IF_ERROR(RegisterStream(stream, handles));
   return clone_root->id;
 }
 
 Status LabeledDocument::DeleteSubtree(xml::NodeId node_id) {
-  auto it = leaves_.find(node_id);
-  if (it == leaves_.end()) return Status::NotFound("unknown node id");
+  if (FindLeaves(node_id) == nullptr) {
+    return Status::NotFound("unknown node id");
+  }
   xml::Node* node = doc_.FindById(node_id);
   if (node == nullptr) return Status::NotFound("node not attached");
 
@@ -312,15 +302,17 @@ Status LabeledDocument::DeleteSubtree(xml::NodeId node_id) {
     }
   }
   for (const xml::Node* n : subtree) {
-    const LeafPair pair = leaves_.at(n->id);
+    // The row goes first: NodeTable::Erase finds it by its start label,
+    // which only a live leaf keeps in order with the other rows.
+    if (n->IsElement()) {
+      LTREE_RETURN_IF_ERROR(table_.Erase(n->id));
+    }
+    const LeafPair pair = leaves_[n->id];
     LTREE_RETURN_IF_ERROR(store_->Erase(pair.begin));
     if (pair.end != kInvalidItemHandle) {
       LTREE_RETURN_IF_ERROR(store_->Erase(pair.end));
     }
-    if (n->IsElement()) {
-      LTREE_RETURN_IF_ERROR(table_.Erase(n->id));
-    }
-    leaves_.erase(n->id);
+    leaves_[n->id] = LeafPair{};
   }
   return doc_.Remove(node);
 }
@@ -330,13 +322,12 @@ Status LabeledDocument::DeleteSubtree(xml::NodeId node_id) {
 // ---------------------------------------------------------------------------
 
 Result<query::Region> LabeledDocument::GetRegion(xml::NodeId node_id) const {
-  auto it = leaves_.find(node_id);
-  if (it == leaves_.end()) return Status::NotFound("unknown node id");
-  LTREE_ASSIGN_OR_RETURN(const Label start,
-                         store_->GetLabel(it->second.begin));
+  const LeafPair* leaves = FindLeaves(node_id);
+  if (leaves == nullptr) return Status::NotFound("unknown node id");
+  LTREE_ASSIGN_OR_RETURN(const Label start, store_->GetLabel(leaves->begin));
   Label end = start;
-  if (it->second.end != kInvalidItemHandle) {
-    LTREE_ASSIGN_OR_RETURN(end, store_->GetLabel(it->second.end));
+  if (leaves->end != kInvalidItemHandle) {
+    LTREE_ASSIGN_OR_RETURN(end, store_->GetLabel(leaves->end));
   }
   return query::Region{start, end};
 }
@@ -356,14 +347,15 @@ Status LabeledDocument::CheckConsistency() const {
   // the current tag stream, and table regions must match them.
   Label prev = 0;
   bool first = true;
+  uint64_t elements = 0;
   for (const xml::TagEntry& entry : doc_.TagStream()) {
-    auto it = leaves_.find(entry.node->id);
-    if (it == leaves_.end()) {
+    const LeafPair* leaves = FindLeaves(entry.node->id);
+    if (leaves == nullptr) {
       return Status::Corruption("attached node missing from the leaf map");
     }
     const ItemHandle h = entry.kind == xml::TagEntry::Kind::kEnd
-                             ? it->second.end
-                             : it->second.begin;
+                             ? leaves->end
+                             : leaves->begin;
     if (h == kInvalidItemHandle) {
       return Status::Corruption("missing leaf handle");
     }
@@ -379,18 +371,26 @@ Status LabeledDocument::CheckConsistency() const {
     first = false;
     if (entry.kind == xml::TagEntry::Kind::kBegin &&
         entry.node->IsElement()) {
+      ++elements;
       LTREE_ASSIGN_OR_RETURN(const query::NodeRow* row,
                              table_.Find(entry.node->id));
       LTREE_ASSIGN_OR_RETURN(const Label start,
-                             store_->GetLabel(it->second.begin));
-      LTREE_ASSIGN_OR_RETURN(const Label end,
-                             store_->GetLabel(it->second.end));
+                             store_->GetLabel(leaves->begin));
+      LTREE_ASSIGN_OR_RETURN(const Label end, store_->GetLabel(leaves->end));
       if (row->region.start != start || row->region.end != end) {
         return Status::Corruption(StrFormat(
             "table region stale for node %llu",
             static_cast<unsigned long long>(entry.node->id)));
       }
     }
+  }
+  // Every attached element has its row (checked above); a surplus row is a
+  // ghost the DOM walk cannot reach.
+  if (table_.size() != elements) {
+    return Status::Corruption(StrFormat(
+        "node table holds %llu rows for %llu attached elements",
+        static_cast<unsigned long long>(table_.size()),
+        static_cast<unsigned long long>(elements)));
   }
   return Status::OK();
 }

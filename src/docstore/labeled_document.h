@@ -23,14 +23,22 @@
 //   * DeleteSubtree        — erases the leaves (tombstones on the L-Tree
 //     variants, physical unlink on the baselines; see order_maintainer.h)
 //     and drops the rows.
+//
+// Besides the labeling scheme's own cost, an insert resolves its anchor in
+// O(1) (Document::FindById plus a parent check) and adds one table row per
+// new element; a delete drops one row per element. Each row costs a binary
+// search and a memmove of its tag index (node_table.h). A relabel
+// notification is an O(1) table write. Leaf handles are kept in an array
+// indexed by node id.
 
 #ifndef LTREE_DOCSTORE_LABELED_DOCUMENT_H_
 #define LTREE_DOCSTORE_LABELED_DOCUMENT_H_
 
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
+#include <vector>
 
 #include "common/result.h"
 #include "listlab/order_maintainer.h"
@@ -118,7 +126,27 @@ class LabeledDocument : private RelabelListener {
 
   Status BulkLoadFromDocument();
 
-  /// Registers a freshly labeled node in the handle map and node table.
+  /// The leaves of a live node, or nullptr.
+  const LeafPair* FindLeaves(xml::NodeId id) const;
+  /// The node `parent_id` if it is a live element, else NotFound.
+  Result<xml::Node*> LiveParent(xml::NodeId parent_id) const;
+  /// The insertion anchor: nullptr for `after` == 0 (append), the child
+  /// `after` of `parent`, or NotFound. O(1).
+  Result<xml::Node*> ResolveSibling(const xml::Node* parent,
+                                    xml::NodeId after) const;
+  /// The last tag-stream leaf of a live node (its end tag, or its text).
+  listlab::ItemHandle LastLeaf(const xml::Node* node) const;
+  /// Inserts `cookies` as one batch right after `sibling`, or at the end of
+  /// `parent`'s content when `sibling` is null.
+  Status InsertLeaves(const xml::Node* parent, const xml::Node* sibling,
+                      std::span<const LeafCookie> cookies,
+                      std::vector<listlab::ItemHandle>* handles);
+
+  /// Records the leaves of a freshly labeled tag stream (handles[i] labels
+  /// stream[i]) and adds a table row for each of its elements.
+  Status RegisterStream(std::span<const xml::TagEntry> stream,
+                        std::span<const listlab::ItemHandle> handles);
+  /// Adds the table row of a freshly labeled element.
   Status RegisterNode(const xml::Node* node, LeafPair leaves);
 
   /// Recursively copies `src` (from another document) under `parent`,
@@ -132,7 +160,9 @@ class LabeledDocument : private RelabelListener {
   std::unique_ptr<listlab::LabelStore> store_;
   std::string spec_;
   query::NodeTable table_;
-  std::unordered_map<xml::NodeId, LeafPair> leaves_;
+  // By node id (ids are dense and never reused); both handles are invalid
+  // for ids with no live node.
+  std::vector<LeafPair> leaves_;
 };
 
 }  // namespace docstore

@@ -90,30 +90,51 @@ std::vector<const NodeRow*> Candidates(const NodeTable& table,
 
 std::vector<const NodeRow*> EvaluateWithLabels(const PathQuery& query,
                                                const NodeTable& table) {
-  std::vector<const NodeRow*> contexts;
+  using Slot = NodeTable::Slot;
+  auto key_of = [&table](Slot s) -> const NodeTable::Key& {
+    return table.key(s);
+  };
+  std::vector<Slot> all_elements;  // the "*" candidates, built on first use
+  std::vector<Slot> matched, next;
+  // The current step's matches: a tag index of the table, or `matched`.
+  std::span<const Slot> contexts;
   bool first = true;
   for (const PathStep& step : query.steps()) {
-    std::vector<const NodeRow*> candidates = Candidates(table, step.tag);
-    if (first) {
-      if (step.axis == PathStep::Axis::kChild) {
-        // Anchored at the (virtual) document root: keep level-0 matches.
-        std::vector<const NodeRow*> roots;
-        for (const NodeRow* row : candidates) {
-          if (row->level == 0) roots.push_back(row);
-        }
-        contexts = std::move(roots);
-      } else {
-        contexts = std::move(candidates);
-      }
-      first = false;
-      continue;
+    std::span<const Slot> candidates;
+    if (step.tag != "*") {
+      candidates = table.TagSlots(step.tag);
+    } else {
+      if (all_elements.empty()) all_elements = table.AllElementSlots();
+      candidates = all_elements;
     }
-    contexts = step.axis == PathStep::Axis::kChild
-                   ? ChildrenSemiJoin(contexts, candidates)
-                   : DescendantsSemiJoin(contexts, candidates);
+    if (first) {
+      first = false;
+      if (step.axis == PathStep::Axis::kDescendant) {
+        contexts = candidates;
+        continue;
+      }
+      // Anchored at the (virtual) document root: keep level-0 matches.
+      for (const Slot s : candidates) {
+        if (table.key(s).level == 0) matched.push_back(s);
+      }
+    } else {
+      // At most every candidate matches; writing through a raw cursor
+      // keeps the join loop free of push_back's bookkeeping.
+      next.resize(candidates.size());
+      Slot* cursor = next.data();
+      SemiJoin(contexts, candidates, key_of,
+               step.axis == PathStep::Axis::kChild,
+               [&cursor](Slot s) { *cursor++ = s; });
+      next.resize(static_cast<size_t>(cursor - next.data()));
+      matched.swap(next);
+    }
+    contexts = matched;
     if (contexts.empty()) break;
   }
-  return contexts;
+  std::vector<const NodeRow*> out;
+  out.reserve(contexts.size());
+  for (const Slot s : contexts) out.push_back(&table.row(s));
+  return out;
 }
 
 // ---------------------------------------------------------------------------

@@ -46,12 +46,18 @@ class PathQuery {
   std::string text_;
 };
 
-/// Label-based plan: matching element rows, sorted by start label.
+/// Label-based plan: matching element rows, sorted by start label. Each
+/// step after the first is one StackJoin (structural_join.h) of the
+/// previous step's slots with the step tag's index, reading only the
+/// table's compact keys: O(|contexts| + |tag index|). A "*" step first
+/// merges every tag index, O(n log t) for t tags. Rows are looked up only
+/// for the result; they stay valid as node_table.h states.
 std::vector<const NodeRow*> EvaluateWithLabels(const PathQuery& query,
                                                const NodeTable& table);
 
 /// Edge-table plan: same result set, computed with parent-id joins only
-/// (descendant steps iterate a level at a time). `join_count`, if non-null,
+/// (descendant steps iterate a level at a time, one NodeTable::ChildrenOf
+/// call per frontier row). `join_count`, if non-null,
 /// receives the number of elementary parent-child join passes performed —
 /// the paper's argument is that this grows with document depth while the
 /// label plan always needs exactly one join per step.

@@ -1,40 +1,37 @@
 #include "query/structural_join.h"
 
-#include <algorithm>
-
 namespace ltree {
 namespace query {
 
 namespace {
 
-/// Core merge: for each descendant, the stack holds exactly the ancestors
-/// whose region contains the current start position (they are nested in
-/// one another because regions never partially overlap).
-template <typename Emit>
-void StackJoin(const std::vector<const NodeRow*>& ancestors,
-               const std::vector<const NodeRow*>& descendants, Emit emit) {
-  std::vector<const NodeRow*> stack;
-  size_t a = 0;
-  for (const NodeRow* d : descendants) {
-    // Admit all ancestors that start before d.
-    while (a < ancestors.size() &&
-           ancestors[a]->region.start < d->region.start) {
-      while (!stack.empty() &&
-             stack.back()->region.end < ancestors[a]->region.start) {
-        stack.pop_back();
-      }
-      stack.push_back(ancestors[a]);
-      ++a;
-    }
-    // Retire ancestors that end before d starts.
-    while (!stack.empty() && stack.back()->region.end < d->region.start) {
-      stack.pop_back();
-    }
-    // Everything left on the stack contains d (nested chain).
-    for (const NodeRow* anc : stack) {
-      if (anc->region.Contains(d->region)) emit(anc, d);
-    }
-  }
+using Rows = std::span<const NodeRow* const>;
+
+NodeTable::Key KeyOf(const NodeRow* row) {
+  return {row->region.start, row->region.end, row->level, 0};
+}
+
+std::vector<JoinPair> RowPairJoin(Rows ancestors, Rows descendants,
+                                  bool child_only) {
+  std::vector<JoinPair> out;
+  StackJoin(ancestors, descendants, KeyOf,
+            [&](Rows stack, const NodeRow* d) {
+              for (const NodeRow* anc : stack) {
+                if (anc->region.Contains(d->region) &&
+                    (!child_only || anc->level + 1 == d->level)) {
+                  out.emplace_back(anc, d);
+                }
+              }
+            });
+  return out;
+}
+
+std::vector<const NodeRow*> RowSemiJoin(Rows ancestors, Rows descendants,
+                                        bool child_only) {
+  std::vector<const NodeRow*> out;
+  SemiJoin(ancestors, descendants, KeyOf, child_only,
+           [&out](const NodeRow* d) { out.push_back(d); });
+  return out;
 }
 
 }  // namespace
@@ -42,48 +39,25 @@ void StackJoin(const std::vector<const NodeRow*>& ancestors,
 std::vector<JoinPair> AncestorDescendantJoin(
     const std::vector<const NodeRow*>& ancestors,
     const std::vector<const NodeRow*>& descendants) {
-  std::vector<JoinPair> out;
-  StackJoin(ancestors, descendants,
-            [&](const NodeRow* a, const NodeRow* d) { out.emplace_back(a, d); });
-  return out;
+  return RowPairJoin(ancestors, descendants, /*child_only=*/false);
 }
 
 std::vector<JoinPair> ParentChildJoin(
     const std::vector<const NodeRow*>& parents,
     const std::vector<const NodeRow*>& children) {
-  std::vector<JoinPair> out;
-  StackJoin(parents, children, [&](const NodeRow* p, const NodeRow* c) {
-    if (c->level == p->level + 1) out.emplace_back(p, c);
-  });
-  return out;
+  return RowPairJoin(parents, children, /*child_only=*/true);
 }
 
 std::vector<const NodeRow*> DescendantsSemiJoin(
     const std::vector<const NodeRow*>& ancestors,
     const std::vector<const NodeRow*>& descendants) {
-  std::vector<const NodeRow*> out;
-  const NodeRow* last = nullptr;
-  StackJoin(ancestors, descendants, [&](const NodeRow*, const NodeRow* d) {
-    if (d != last) {
-      out.push_back(d);
-      last = d;
-    }
-  });
-  return out;  // descendants iterated in start order => output sorted
+  return RowSemiJoin(ancestors, descendants, /*child_only=*/false);
 }
 
 std::vector<const NodeRow*> ChildrenSemiJoin(
     const std::vector<const NodeRow*>& parents,
     const std::vector<const NodeRow*>& children) {
-  std::vector<const NodeRow*> out;
-  const NodeRow* last = nullptr;
-  StackJoin(parents, children, [&](const NodeRow* p, const NodeRow* c) {
-    if (c->level == p->level + 1 && c != last) {
-      out.push_back(c);
-      last = c;
-    }
-  });
-  return out;
+  return RowSemiJoin(parents, children, /*child_only=*/true);
 }
 
 }  // namespace query

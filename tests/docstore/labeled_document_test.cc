@@ -95,9 +95,12 @@ TEST(LabeledDocumentTest, InsertAfterSpecificSibling) {
 }
 
 TEST(LabeledDocumentTest, InsertErrors) {
-  auto store =
-      LabeledDocument::FromXml("<r><a/></r>", kScheme).MoveValueUnsafe();
-  const xml::NodeId root_id = store->document().root()->id;
+  auto store = LabeledDocument::FromXml("<r><a><g/></a><b/></r>", kScheme)
+                   .MoveValueUnsafe();
+  const xml::Node* r = store->document().root();
+  const xml::NodeId root_id = r->id;
+  const xml::NodeId grandchild = r->first_child->first_child->id;
+  const xml::NodeId deleted = r->last_child->id;
   EXPECT_TRUE(store->InsertElement(9999, 0, "x").status().IsNotFound());
   EXPECT_TRUE(
       store->InsertElement(root_id, 12345, "x").status().IsNotFound());
@@ -105,6 +108,42 @@ TEST(LabeledDocumentTest, InsertErrors) {
   auto text = store->InsertText(root_id, 0, "hello");
   ASSERT_TRUE(text.ok());
   EXPECT_TRUE(store->InsertElement(*text, 0, "x").status().IsNotFound());
+
+  // The anchor must be a live child of the parent.
+  ASSERT_TRUE(store->DeleteSubtree(deleted).ok());
+  const uint64_t rows = store->table().size();
+  const uint64_t leaves = store->label_store().size();
+  for (const xml::NodeId anchor :
+       {grandchild, deleted, root_id, xml::NodeId{1000000}}) {
+    EXPECT_TRUE(
+        store->InsertElement(root_id, anchor, "x").status().IsNotFound())
+        << "anchor " << anchor;
+    EXPECT_TRUE(
+        store->InsertText(root_id, anchor, "t").status().IsNotFound())
+        << "anchor " << anchor;
+    EXPECT_TRUE(
+        store->InsertFragment(root_id, anchor, "<x/>").status().IsNotFound())
+        << "anchor " << anchor;
+  }
+  EXPECT_EQ(store->table().size(), rows);
+  EXPECT_EQ(store->label_store().size(), leaves);
+  EXPECT_TRUE(store->CheckConsistency().ok());
+}
+
+TEST(LabeledDocumentTest, CheckConsistencyCatchesAGhostRow) {
+  auto store =
+      LabeledDocument::FromXml("<r><a/></r>", kScheme).MoveValueUnsafe();
+  ASSERT_TRUE(store->CheckConsistency().ok());
+  // A row no attached element owns, as an index bug could leave behind.
+  query::NodeRow ghost;
+  ghost.id = 50;
+  ghost.tag = "ghost";
+  ghost.region = {1, 2};
+  ghost.parent_id = store->document().root()->id;
+  ASSERT_TRUE(
+      const_cast<query::NodeTable&>(store->table()).Insert(ghost).ok());
+  const Status st = store->CheckConsistency();
+  EXPECT_TRUE(st.IsCorruption()) << st.ToString();
 }
 
 TEST(LabeledDocumentTest, InsertTextOccupiesOrderSlot) {

@@ -66,23 +66,36 @@ TEST_P(SchemeEquivalenceTest, RandomEditScriptMatchesDomGroundTruth) {
     const auto* row = rows[rng.Uniform(rows.size())];
     return row->id;
   };
+  // Half the inserts append (anchor 0); the other half go right after a
+  // random existing child, element or text, of the parent.
+  auto random_anchor = [&](xml::NodeId parent) -> xml::NodeId {
+    std::vector<xml::NodeId> children;
+    for (const xml::Node* c = store->document().FindById(parent)->first_child;
+         c != nullptr; c = c->next_sibling) {
+      children.push_back(c->id);
+    }
+    if (children.empty() || rng.Uniform(2) == 0) return 0;
+    return children[rng.Uniform(children.size())];
+  };
 
   for (int op = 0; op < 60; ++op) {
     const uint64_t dice = rng.Uniform(10);
     if (dice < 3) {
       ASSERT_TRUE(store
                       ->InsertFragment(
-                          books_id, 0,
+                          books_id, random_anchor(books_id),
                           "<book><title>t</title><chapter><para>p</para>"
                           "</chapter></book>")
                       .ok())
           << spec << " op " << op;
     } else if (dice < 6) {
       // New element under a random live element (possibly a nested edit).
-      auto fresh = store->InsertElement(random_element(), 0, "edit");
+      const xml::NodeId parent = random_element();
+      auto fresh = store->InsertElement(parent, random_anchor(parent), "edit");
       ASSERT_TRUE(fresh.ok()) << spec << " op " << op;
     } else if (dice < 8) {
-      auto text = store->InsertText(random_element(), 0, "note");
+      const xml::NodeId parent = random_element();
+      auto text = store->InsertText(parent, random_anchor(parent), "note");
       ASSERT_TRUE(text.ok()) << spec << " op " << op;
     } else {
       // Delete a random subtree, but keep the skeleton alive.

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "listlab/bender_list.h"
 #include "listlab/factory.h"
 #include "listlab/gap_list.h"
@@ -379,6 +381,10 @@ struct GoldenSweep {
   uint64_t rebalances;
   uint32_t label_bits;
 };
+
+// Without a printer gtest prints the struct's raw bytes, and the spec
+// pointer in them changes with ASLR; CTest names are built from this output.
+void PrintTo(const GoldenSweep& c, std::ostream* os) { *os << c.spec; }
 
 class GoldenSweepTest : public ::testing::TestWithParam<GoldenSweep> {};
 
