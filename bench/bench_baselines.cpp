@@ -55,7 +55,7 @@ Row RunScheme(const std::string& spec, workload::StreamKind kind,
     }
   }
   const double ms = timer.ElapsedMillis();
-  LTREE_CHECK_OK(store->CheckInvariants());
+  audit::AbortIfCorrupt(store->Validate(), store->name(), "the insert run");
   LTREE_CHECK(store->label_bits() > 0);
   return Row{store->name(), store->stats().RelabelsPerInsert(),
              store->stats().rebalances, store->label_bits(), ms};

@@ -71,7 +71,7 @@ BatchRunResult RunBatched(const Params& params, uint64_t initial,
   }
   BatchRunResult out;
   out.wall_ms = timer.ElapsedMillis();
-  LTREE_CHECK_OK(tree->CheckInvariants());
+  audit::AbortIfCorrupt(tree->Validate(), "L-Tree", "the batch run");
   const LTreeStats& st = tree->stats();
   out.cost_per_leaf = st.AmortizedCostPerInsert();
   out.relabel_passes = st.relabel_passes;

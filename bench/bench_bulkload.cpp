@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
       Timer timer;
       LTREE_CHECK_OK(tree->BulkLoad(cookies));
       const double secs = timer.ElapsedSeconds();
-      LTREE_CHECK_OK(tree->CheckInvariants());
+      audit::AbortIfCorrupt(tree->Validate(), "L-Tree", "BulkLoad");
       const uint32_t expect_height =
           std::max(1u, CeilLog(p.d(), n));
       LTREE_CHECK(tree->height() == expect_height);

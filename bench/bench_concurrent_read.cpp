@@ -131,7 +131,7 @@ RowResult RunRow(const std::string& spec, uint64_t initial, int readers,
   out.writer_ops_per_sec =
       static_cast<double>(writer_ops.load()) / elapsed;
   out.read_latency = merged.Summarize();
-  LTREE_CHECK_OK(store->CheckInvariants());
+  audit::AbortIfCorrupt(store->Validate(), store->name(), "the read run");
   return out;
 }
 

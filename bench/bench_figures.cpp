@@ -97,7 +97,7 @@ void Figure2() {
   LTREE_CHECK(tree->stats().splits == 1);
   PrintLeafLine(*tree);
   std::printf("\nfinal structure:\n%s", tree->DebugString().c_str());
-  LTREE_CHECK_OK(tree->CheckInvariants());
+  audit::AbortIfCorrupt(tree->Validate(), "L-Tree", "the figure inserts");
 }
 
 }  // namespace

@@ -63,7 +63,7 @@ Row RunSpec(const std::string& spec, uint64_t initial, uint64_t ops) {
                           : op.rank + 1;
     handles.insert(handles.begin() + static_cast<long>(at), *h);
   }
-  LTREE_CHECK_OK(store->CheckInvariants());
+  audit::AbortIfCorrupt(store->Validate(), store->name(), "the latency run");
   return Row{store->label_bits(), lat.Summarize()};
 }
 

@@ -98,7 +98,7 @@ InsertRunResult RunInsertWorkload(
   out.root_splits = st.root_splits;
   out.label_bits = tree->label_bits();
   out.max_label = tree->max_label();
-  LTREE_CHECK_OK(tree->CheckInvariants());
+  audit::AbortIfCorrupt(tree->Validate(), "L-Tree", "the insert run");
   return out;
 }
 

@@ -1,27 +1,31 @@
 // Unified invariant auditor.
 //
 // Every ordered structure in this library maintains invariants the paper's
-// correctness argument rests on — L-Tree labels stay order-correct under
-// batched relabeling within the Section 4.1 batch(f,s,n,k) bound — and each
-// used to check them piecemeal (ad-hoc CheckInvariants methods returning
-// only the first violation). This header is the common substrate those
-// checks now share:
+// correctness argument rests on: the Proposition 1/2 fanout and leaf
+// budgets, the num(w) label identity, and L-Tree labels that stay
+// order-correct under batched relabeling within the Section 4.1
+// batch(f,s,n,k) bound. This header is the one substrate every check
+// reports through:
 //
 //   * audit::Violation — one broken rule, with a structural path to the
 //     offending node (e.g. "ltree:/2/0") and a stable rule slug
 //     (e.g. "label-order") tests can assert on;
 //   * audit::Report — a bounded collector of violations that renders to a
-//     human-readable listing or collapses to the legacy Corruption Status;
-//   * deep validators — AuditLTree here, CountedBTree::Audit,
-//     VirtualLTree::Audit and xml::Document::Audit on their classes (their
-//     node types are private), and the scheme-generic
-//     listlab::LabelStore::Validate() that every labeling scheme implements.
+//     human-readable listing or collapses to a Corruption Status;
+//   * one entry point per audited structure, `audit::Report Validate()
+//     const`: LTree, obtree::CountedBTree, VirtualLTree, xml::Document,
+//     query::NodeTable, store::ChangeFeed, store::DocumentStore,
+//     replica::ReplicationSession, and the scheme-generic
+//     listlab::LabelStore::Validate() that every labeling scheme
+//     implements. A structure that owns others Absorbs their reports
+//     under its own path prefix.
 //
-// Unlike the old first-failure checks, validators keep walking after a hit
-// so one audit reports every broken rule at once (up to Report's cap).
-// Configuring with -DLISTLAB_VALIDATE=ON makes every LabelStore re-audit
-// itself after each mutating call and abort with the full report on the
-// first operation that corrupts the structure.
+// Validators keep walking after a hit, so one audit reports every broken
+// rule at once (up to Report's cap). Configuring with
+// -DLISTLAB_VALIDATE=ON makes every LabelStore, DocumentStore and
+// ReplicationSession re-audit itself after each mutating call and abort
+// through AbortIfCorrupt with the full report on the first operation that
+// corrupts the structure.
 
 #ifndef LTREE_CORE_VALIDATE_H_
 #define LTREE_CORE_VALIDATE_H_
@@ -34,9 +38,6 @@
 #include "common/status.h"
 
 namespace ltree {
-
-class LTree;
-
 namespace audit {
 
 /// One violated invariant at one location.
@@ -81,8 +82,7 @@ class Report {
   /// "ok" or a newline-separated listing of every recorded violation.
   std::string ToString() const;
 
-  /// OK, or Corruption carrying the first violation (and the total count),
-  /// matching what the legacy CheckInvariants methods returned.
+  /// OK, or Corruption carrying the first violation (and the total count).
   Status ToStatus() const;
 
  private:
@@ -91,13 +91,12 @@ class Report {
   uint64_t dropped_ = 0;
 };
 
-/// Deep validator for the materialized L-Tree: Proposition 2 structure
-/// (uniform leaf depth, fanout <= f+1, leaf budgets l(t) < lmax(t)),
-/// parent/child link symmetry, the label identity
-/// num(w) = num(parent) + index(w) * (f+1)^{h(w)} (hence Proposition 1
-/// strict label monotonicity across leaves), tombstone accounting against
-/// num_live_leaves(), and arena conservation (live() == reachable nodes).
-void AuditLTree(const LTree& tree, Report* report);
+/// Returns when `report` is clean; otherwise prints the full listing,
+/// naming the audited structure `what` and the call `op` that left it
+/// corrupt, and aborts. The failure path of the -DLISTLAB_VALIDATE
+/// per-mutation audit and of the paper drivers' end-of-run checks.
+void AbortIfCorrupt(const Report& report, std::string_view what,
+                    std::string_view op);
 
 }  // namespace audit
 }  // namespace ltree

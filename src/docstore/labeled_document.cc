@@ -340,9 +340,13 @@ Result<bool> LabeledDocument::IsAncestor(xml::NodeId ancestor,
 }
 
 Status LabeledDocument::CheckConsistency() const {
-  LTREE_RETURN_IF_ERROR(store_->CheckInvariants());
-  LTREE_RETURN_IF_ERROR(table_.CheckInvariants());
-  LTREE_RETURN_IF_ERROR(doc_.CheckInvariants());
+  // The parts' own audits first, merged so the Status counts every
+  // violation (their paths already name the structure: "ltree:", "table:",
+  // "doc:", ...).
+  audit::Report parts = store_->Validate();
+  parts.Absorb(table_.Validate(), "");
+  parts.Absorb(doc_.Validate(), "");
+  LTREE_RETURN_IF_ERROR(parts.ToStatus());
   // The labels read through the handles must be strictly increasing along
   // the current tag stream, and table regions must match them.
   Label prev = 0;

@@ -108,8 +108,9 @@ class LabeledDocument : private RelabelListener {
   /// The spec string this document was constructed with.
   const std::string& scheme_spec() const { return spec_; }
 
-  /// Cross-checks DOM order/ancestry against table regions and the label
-  /// store's labels.
+  /// Runs the label store's, node table's and DOM's Validate(), then
+  /// cross-checks DOM order/ancestry against table regions and the label
+  /// store's labels. Corruption carries the first finding.
   Status CheckConsistency() const;
 
  private:

@@ -159,15 +159,6 @@ uint32_t LinkedListScheme::label_bits() const {
   return universe <= 1 ? 1 : BitWidth(universe - 1);
 }
 
-std::vector<Label> LinkedListScheme::Labels() const {
-  std::vector<Label> out;
-  out.reserve(live_);
-  for (ListItem* it = head_; it != nullptr; it = it->next) {
-    out.push_back(it->label);
-  }
-  return out;
-}
-
 audit::Report LinkedListScheme::Validate() const {
   audit::Report report;
   uint64_t count = 0;

@@ -44,7 +44,6 @@ class LinkedListScheme : public LabelStore {
     return items_.size() * sizeof(ListItem) +
            items_.capacity() * sizeof(ListItem*);
   }
-  std::vector<Label> Labels() const final;
   const MaintStats& stats() const final { return stats_; }
   void ResetStats() final { stats_ = MaintStats(); }
 

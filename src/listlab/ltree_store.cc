@@ -197,8 +197,7 @@ void LTreeStore::ResetStats() {
 }
 
 audit::Report LTreeStore::Validate() const {
-  audit::Report report;
-  audit::AuditLTree(*tree_, &report);
+  audit::Report report = tree_->Validate();
   // Handle map vs. the tree: collect the live leaves by traversal, then
   // check the non-erased handles map onto them one-to-one. An erased
   // slot's pointer must never be dereferenced — a purge may have freed it.
@@ -460,8 +459,7 @@ void VirtualLTreeStore::ResetStats() {
 }
 
 audit::Report VirtualLTreeStore::Validate() const {
-  audit::Report report;
-  tree_->Audit(&report);
+  audit::Report report = tree_->Validate();
   // Cookie <-> label bijection: the tree's leaf cookies are our handles,
   // so every non-erased handle's label must exist in the B+-tree, carry
   // that handle as its cookie, and be live. Together with the live counts

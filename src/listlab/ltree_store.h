@@ -51,11 +51,10 @@ class LTreeStore : public LabelStore, private RelabelListener {
   uint64_t ApproxHeapBytes() const override {
     return tree_->ApproxHeapBytes() + slots_.ApproxHeapBytes();
   }
-  std::vector<Label> Labels() const override { return tree_->LiveLabels(); }
   const MaintStats& stats() const override;
   void ResetStats() override;
 
-  /// Deep validator: audits the wrapped L-Tree (audit::AuditLTree) with its
+  /// Deep validator: audits the wrapped L-Tree (LTree::Validate) with its
   /// epoch manager (arena conservation counts epoch-pending nodes; the
   /// `epoch-reclamation` rule proves no retired leaf is still reachable),
   /// then the handle map — every non-erased handle must resolve to a
@@ -140,7 +139,6 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
   uint64_t ApproxHeapBytes() const override {
     return tree_->ApproxMemoryBytes() + slots_.ApproxHeapBytes();
   }
-  std::vector<Label> Labels() const override { return tree_->LiveLabels(); }
   const MaintStats& stats() const override;
   void ResetStats() override;
 

@@ -4,11 +4,6 @@
 #include <numeric>
 #include <shared_mutex>
 
-#ifdef LISTLAB_VALIDATE
-#include <cstdlib>
-#include <iostream>
-#endif
-
 #include "common/macros.h"
 #include "common/string_util.h"
 
@@ -47,12 +42,7 @@ std::string MaintStats::ToString() const {
 
 #ifdef LISTLAB_VALIDATE
 void LabelStore::AutoValidate(const char* op) const {
-  const audit::Report report = Validate();
-  if (report.ok()) return;
-  std::cerr << "LISTLAB_VALIDATE: " << name() << " corrupted after " << op
-            << ":\n"
-            << report.ToString() << "\n";
-  std::abort();
+  audit::AbortIfCorrupt(Validate(), name(), op);
 }
 #endif
 
@@ -173,6 +163,15 @@ Result<int> LabelStore::CompareOrder(const ReadGuard& /*guard*/, ItemHandle a,
   LTREE_ASSIGN_OR_RETURN(Label la, GetLabel(a));
   LTREE_ASSIGN_OR_RETURN(Label lb, GetLabel(b));
   return compare(la, lb);
+}
+
+std::vector<Label> LabelStore::Labels() const {
+  std::vector<std::pair<Label, LeafCookie>> items;
+  SnapshotImpl(&items);
+  std::vector<Label> labels;
+  labels.reserve(items.size());
+  for (const auto& item : items) labels.push_back(item.first);
+  return labels;
 }
 
 std::vector<std::pair<Label, LeafCookie>> LabelStore::ScanAll(

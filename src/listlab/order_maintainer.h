@@ -291,8 +291,9 @@ class LabelStore {
   /// sharded DocumentStore reports this per shard.
   virtual uint64_t ApproxHeapBytes() const = 0;
 
-  /// Live labels in list order (for order-preservation checks).
-  virtual std::vector<Label> Labels() const = 0;
+  /// Live labels in list order (for order-preservation checks): the label
+  /// column of SnapshotImpl. Same thread-compatible contract as GetLabel.
+  std::vector<Label> Labels() const;
 
   /// Receives label-change notifications; may be nullptr.
   void set_listener(RelabelListener* listener) { listener_ = listener; }
@@ -307,15 +308,11 @@ class LabelStore {
   /// stopping at the first. Clean after every public call on every scheme.
   virtual audit::Report Validate() const = 0;
 
-  /// Legacy first-violation form: OK, or Corruption carrying the first
-  /// Validate() finding.
-  Status CheckInvariants() const { return Validate().ToStatus(); }
-
  protected:
 #ifdef LISTLAB_VALIDATE
-  /// Runs Validate() and aborts with the full report when it is not clean.
-  /// Every scheme calls this after each mutating call; the call compiles
-  /// to nothing unless the LISTLAB_VALIDATE CMake option is ON.
+  /// Runs Validate() and aborts through audit::AbortIfCorrupt when it is
+  /// not clean. Every scheme calls this after each mutating call; the call
+  /// compiles to nothing unless the LISTLAB_VALIDATE CMake option is ON.
   void AutoValidate(const char* op) const;
 #else
   void AutoValidate(const char* /*op*/) const {}

@@ -139,15 +139,11 @@ class CountedBTree {
   /// Iterator at the smallest key >= `key`.
   Iterator Seek(Label key) const;
 
-  /// Deep validator: appends every violated structural rule (occupancy,
-  /// key ordering, separator and count consistency, uniform leaf depth,
-  /// arena conservation live() == NodeCount()) to `report` with
+  /// Deep validator: every violated structural rule (occupancy, key
+  /// ordering, separator and count consistency, uniform leaf depth, arena
+  /// conservation live() == NodeCount(), epoch reclamation), with
   /// "btree:"-prefixed node paths.
-  void Audit(audit::Report* report) const;
-
-  /// Validates structural invariants (occupancy, key ordering, counts,
-  /// uniform leaf depth); the first Audit() violation as a Status.
-  Status CheckInvariants() const;
+  audit::Report Validate() const;
 
   uint32_t order() const { return order_; }
 

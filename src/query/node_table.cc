@@ -225,7 +225,8 @@ std::vector<const NodeRow*> NodeTable::ChildrenOf(xml::NodeId parent) const {
   return out;
 }
 
-void NodeTable::Audit(audit::Report* report) const {
+audit::Report NodeTable::Validate() const {
+  audit::Report report;
   const std::string path = "table:/";
   // row-key and id-map, slot by slot.
   uint64_t live = 0;
@@ -241,33 +242,33 @@ void NodeTable::Audit(audit::Report* report) const {
     if (r.region.start >= r.region.end || key.start != r.region.start ||
         key.end != r.region.end || key.level != r.level ||
         key.tag != want_tag) {
-      report->Add(path + std::to_string(s), "row-key",
-                  StrFormat("node %llu: key (%llu, %llu, level %d, tag %u) "
-                            "vs row (%llu, %llu, level %d)",
-                            Ull(r.id), Ull(key.start), Ull(key.end), key.level,
-                            key.tag, Ull(r.region.start), Ull(r.region.end),
-                            r.level));
+      report.Add(path + std::to_string(s), "row-key",
+                 StrFormat("node %llu: key (%llu, %llu, level %d, tag %u) "
+                           "vs row (%llu, %llu, level %d)",
+                           Ull(r.id), Ull(key.start), Ull(key.end), key.level,
+                           key.tag, Ull(r.region.start), Ull(r.region.end),
+                           r.level));
     }
     if (SlotOf(r.id) != s) {
-      report->Add(path + std::to_string(s), "id-map",
-                  StrFormat("live node %llu does not map to its slot",
-                            Ull(r.id)));
+      report.Add(path + std::to_string(s), "id-map",
+                 StrFormat("live node %llu does not map to its slot",
+                           Ull(r.id)));
     }
   }
   for (xml::NodeId id = 0; id < slot_of_id_.size(); ++id) {
     const Slot s = slot_of_id_[id];
     if (s == kNoSlot) continue;
     if (s >= keys_.size() || keys_[s].tag == kFreeSlot || row(s).id != id) {
-      report->Add(path, "id-map",
-                  StrFormat("node %llu maps to slot %u, which does not hold "
-                            "it",
-                            Ull(id), s));
+      report.Add(path, "id-map",
+                 StrFormat("node %llu maps to slot %u, which does not hold "
+                           "it",
+                           Ull(id), s));
     }
   }
   if (finalized_ && live != live_count_) {
-    report->Add(path, "id-map",
-                StrFormat("size() is %llu but %llu slots are live",
-                          Ull(live_count_), Ull(live)));
+    report.Add(path, "id-map",
+               StrFormat("size() is %llu but %llu slots are live",
+                         Ull(live_count_), Ull(live)));
   }
 
   // tag-index-membership and tag-index-order.
@@ -277,27 +278,27 @@ void NodeTable::Audit(audit::Report* report) const {
     for (size_t i = 0; i < index.size(); ++i) {
       const Slot s = index[i];
       if (s >= keys_.size() || keys_[s].tag != t) {
-        report->Add(path, "tag-index-membership",
-                    StrFormat("tag %u index holds slot %u, which is not a "
-                              "live row of that tag",
-                              t, s));
+        report.Add(path, "tag-index-membership",
+                   StrFormat("tag %u index holds slot %u, which is not a "
+                             "live row of that tag",
+                             t, s));
         continue;
       }
       ++seen[s];
       if (i > 0 && index[i - 1] < keys_.size() &&
           keys_[index[i - 1]].start >= keys_[s].start) {
-        report->Add(path + std::to_string(s), "tag-index-order",
-                    StrFormat("tag %u index not increasing at position %zu",
-                              t, i));
+        report.Add(path + std::to_string(s), "tag-index-order",
+                   StrFormat("tag %u index not increasing at position %zu",
+                             t, i));
       }
     }
   }
   for (Slot s = 0; s < keys_.size(); ++s) {
     const uint32_t tag = keys_[s].tag;
     if (tag != kFreeSlot && tag != kTextTag && seen[s] != 1) {
-      report->Add(path + std::to_string(s), "tag-index-membership",
-                  StrFormat("node %llu appears %u times in its tag index",
-                            Ull(row(s).id), seen[s]));
+      report.Add(path + std::to_string(s), "tag-index-membership",
+                 StrFormat("node %llu appears %u times in its tag index",
+                           Ull(row(s).id), seen[s]));
     }
   }
 
@@ -309,9 +310,9 @@ void NodeTable::Audit(audit::Report* report) const {
       if (s >= keys_.size() || keys_[s].tag == kFreeSlot ||
           row(s).parent_id != parent || links_[s].prev != prev ||
           seen[s]++ != 0) {
-        report->Add(path, "parent-index",
-                    StrFormat("child list of node %llu is broken at slot %u",
-                              Ull(parent), s));
+        report.Add(path, "parent-index",
+                   StrFormat("child list of node %llu is broken at slot %u",
+                             Ull(parent), s));
         break;
       }
       prev = s;
@@ -319,18 +320,13 @@ void NodeTable::Audit(audit::Report* report) const {
   }
   for (Slot s = 0; s < keys_.size(); ++s) {
     if (keys_[s].tag != kFreeSlot && row(s).parent_id != 0 && seen[s] == 0) {
-      report->Add(path + std::to_string(s), "parent-index",
-                  StrFormat("node %llu is missing from the child list of "
-                            "node %llu",
-                            Ull(row(s).id), Ull(row(s).parent_id)));
+      report.Add(path + std::to_string(s), "parent-index",
+                 StrFormat("node %llu is missing from the child list of "
+                           "node %llu",
+                           Ull(row(s).id), Ull(row(s).parent_id)));
     }
   }
-}
-
-Status NodeTable::CheckInvariants() const {
-  audit::Report report;
-  Audit(&report);
-  return report.ToStatus();
+  return report;
 }
 
 }  // namespace query

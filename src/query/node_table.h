@@ -152,10 +152,7 @@ class NodeTable {
   ///     and size() counts them;
   ///   * "parent-index"  — each parent's child list is well linked and
   ///     holds exactly the live rows whose parent_id is that parent.
-  void Audit(audit::Report* report) const;
-
-  /// The first Audit() violation as a Status.
-  Status CheckInvariants() const;
+  audit::Report Validate() const;
 
  private:
   friend class NodeTableTestPeer;  // seeds corruptions in negative tests

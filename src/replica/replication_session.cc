@@ -1,8 +1,6 @@
 #include "replica/replication_session.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <string>
 #include <utility>
 
@@ -268,12 +266,7 @@ audit::Report ReplicationSession::Validate() const {
 
 void ReplicationSession::AutoValidate(const char* op) const {
 #ifdef LISTLAB_VALIDATE
-  audit::Report report = Validate();
-  if (report.ok()) return;
-  std::cerr << "LISTLAB_VALIDATE: ReplicationSession corrupted after " << op
-            << ":\n"
-            << report.ToString() << "\n";
-  std::abort();
+  audit::AbortIfCorrupt(Validate(), "ReplicationSession", op);
 #else
   (void)op;
 #endif

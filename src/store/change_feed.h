@@ -98,11 +98,12 @@ class ChangeFeed {
   /// production policy would call it on a memory budget).
   void TrimTo(uint64_t keep);
 
-  /// Appends feed-continuity violations to `report` under `path`: retained
-  /// sequence numbers must be contiguous, end at last_seq(), and respect
-  /// both the capacity bound and trimmed-count conservation
-  /// (trimmed + retained == last_seq).
-  void Audit(audit::Report* report, const std::string& path) const;
+  /// Feed-continuity audit: retained sequence numbers must be contiguous,
+  /// end at last_seq(), and respect both the capacity bound and
+  /// trimmed-count conservation (trimmed + retained == last_seq). Paths
+  /// are relative (empty: the feed itself); an owner Absorbs the report
+  /// under its own prefix.
+  audit::Report Validate() const;
 
  private:
   friend class ChangeFeedTestPeer;  // seeds corruptions in negative tests

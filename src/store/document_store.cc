@@ -1,8 +1,6 @@
 #include "store/document_store.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <iostream>
 #include <numeric>
 
 #include "common/macros.h"
@@ -484,8 +482,8 @@ audit::Report DocumentStore::Validate() const {
 void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
   audit::Report& report = *out;
   for (uint32_t i = 0; i < num_shards(); ++i) {
-    shards_[i]->feed.Audit(&report,
-                           "docstore:/shard" + std::to_string(i) + "/feed");
+    report.Absorb(shards_[i]->feed.Validate(),
+                  "docstore:/shard" + std::to_string(i) + "/feed");
   }
 
   // shard-routing: registry <-> shards form a bijection.
@@ -614,11 +612,7 @@ void DocumentStore::AutoValidate(const char* op) const {
   // repeating those walks per store mutation would square the cost.
   audit::Report report;
   ValidateStoreLevel(&report);
-  if (report.ok()) return;
-  std::cerr << "LISTLAB_VALIDATE: DocumentStore corrupted after " << op
-            << ":\n"
-            << report.ToString() << "\n";
-  std::abort();
+  audit::AbortIfCorrupt(report, "DocumentStore", op);
 #else
   (void)op;
 #endif

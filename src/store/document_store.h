@@ -228,8 +228,6 @@ class DocumentStore {
   /// the first violation.
   audit::Report Validate() const;
 
-  Status CheckInvariants() const { return Validate().ToStatus(); }
-
  private:
   friend class DocumentStoreTestPeer;  // seeds corruptions in negative tests
 

@@ -570,27 +570,27 @@ struct IntervalFrame {
 };
 }  // namespace
 
-void VirtualLTree::Audit(audit::Report* report) const {
-  btree_.Audit(report);
+audit::Report VirtualLTree::Validate() const {
+  audit::Report report = btree_.Validate();
   // Tombstone accounting: live counter vs. the actual non-deleted entries.
   uint64_t live = 0;
   for (const obtree::Entry& e : btree_.ScanAll()) {
     if (!UnpackDeleted(e.value)) ++live;
   }
   if (live != live_leaves_) {
-    report->Add("virtual:/", "live-count",
-                StrFormat("num_live_leaves() %llu != actual live slots %llu",
-                          static_cast<unsigned long long>(live_leaves_),
-                          static_cast<unsigned long long>(live)));
+    report.Add("virtual:/", "live-count",
+               StrFormat("num_live_leaves() %llu != actual live slots %llu",
+                         static_cast<unsigned long long>(live_leaves_),
+                         static_cast<unsigned long long>(live)));
   }
-  if (btree_.size() == 0) return;
+  if (btree_.size() == 0) return report;
   // Every label fits the current label space.
   auto last = btree_.Predecessor(std::numeric_limits<Label>::max());
   if (last.ok() && last->key >= label_space()) {
-    report->Add("virtual:/", "label-space",
-                StrFormat("label %llu outside the current label space %llu",
-                          static_cast<unsigned long long>(last->key),
-                          static_cast<unsigned long long>(label_space())));
+    report.Add("virtual:/", "label-space",
+               StrFormat("label %llu outside the current label space %llu",
+                         static_cast<unsigned long long>(last->key),
+                         static_cast<unsigned long long>(label_space())));
   }
   std::vector<IntervalFrame> stack{{0, height_}};
   while (!stack.empty()) {
@@ -604,11 +604,11 @@ void VirtualLTree::Audit(audit::Report* report) const {
     if (count == 0) continue;
     if (frame.height == 0) continue;  // single slot
     if (count >= powers_.LeafBudget(frame.height)) {
-      report->Add(path, "leaf-budget",
-                  StrFormat("virtual node holds %llu >= budget %llu",
-                            static_cast<unsigned long long>(count),
-                            static_cast<unsigned long long>(
-                                powers_.LeafBudget(frame.height))));
+      report.Add(path, "leaf-budget",
+                 StrFormat("virtual node holds %llu >= budget %llu",
+                           static_cast<unsigned long long>(count),
+                           static_cast<unsigned long long>(
+                               powers_.LeafBudget(frame.height))));
     }
     // Occupied child digits must form a consecutive prefix 0..c-1.
     const uint64_t child_width = powers_.PowF1(frame.height - 1);
@@ -622,20 +622,15 @@ void VirtualLTree::Audit(audit::Report* report) const {
         continue;
       }
       if (gap_seen) {
-        report->Add(path, "child-gap",
-                    StrFormat("occupied child digit %llu follows an empty "
-                              "one",
-                              static_cast<unsigned long long>(g)));
+        report.Add(path, "child-gap",
+                   StrFormat("occupied child digit %llu follows an empty "
+                             "one",
+                             static_cast<unsigned long long>(g)));
       }
       stack.push_back({child_base, frame.height - 1});
     }
   }
-}
-
-Status VirtualLTree::CheckInvariants() const {
-  audit::Report report;
-  Audit(&report);
-  return report.ToStatus();
+  return report;
 }
 
 }  // namespace ltree

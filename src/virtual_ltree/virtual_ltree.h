@@ -166,13 +166,8 @@ class VirtualLTree {
   /// Deep validator: audits the backing counted B+-tree, then the virtual
   /// structure — label-space bounds, consecutive child digits within every
   /// occupied interval, leaf budgets, and tombstone accounting against
-  /// num_live_leaves(). Appends every violation to `report`.
-  void Audit(audit::Report* report) const;
-
-  /// Validates the virtual structure: digit bounds, consecutive child
-  /// indices within every occupied interval, and leaf budgets; the first
-  /// Audit() violation as a Status.
-  Status CheckInvariants() const;
+  /// num_live_leaves(). Reports every violation.
+  audit::Report Validate() const;
 
  private:
   VirtualLTree(const Params& params, PowerTable powers);

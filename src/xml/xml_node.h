@@ -114,14 +114,10 @@ class Document {
   /// Document-order tag stream of the attached tree (Section 2).
   std::vector<TagEntry> TagStream() const;
 
-  /// Deep validator: appends every broken structural rule (link symmetry,
-  /// single root, text-node leaf-ness, live-node accounting) to `report`
-  /// with "doc:"-prefixed node paths.
-  void Audit(audit::Report* report) const;
-
-  /// Structural checks: link symmetry, ownership, single root; the first
-  /// Audit() violation as a Status.
-  Status CheckInvariants() const;
+  /// Deep validator: every broken structural rule (link symmetry, single
+  /// root, text-node leaf-ness, live-node accounting), with "doc:"-prefixed
+  /// node paths.
+  audit::Report Validate() const;
 
  private:
   Node* NewNode(NodeType type);

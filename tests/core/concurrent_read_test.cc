@@ -18,6 +18,13 @@
 // and cookie sequence both — and its deep audit (including the
 // epoch-reclamation rule) must be clean.
 //
+// The FrozenReadTest cases pin the thread-compatible contract under the
+// writer-racing ones: const traversal of a frozen LTree, CountedBTree,
+// VirtualLTree, LabelStore or DocumentStore from several threads at once
+// must be race-free, so ThreadSanitizer flags any const path that
+// secretly writes shared state. stats() is excluded: it refreshes mutable
+// counters and is writer-side, like any mutation.
+//
 // Iterations scale with the LTREE_STRESS_REPS environment variable so the
 // TSan CI job can run an elevated count without slowing the default build.
 
@@ -32,8 +39,11 @@
 #include <thread>
 #include <vector>
 
+#include "core/ltree.h"
 #include "listlab/factory.h"
+#include "obtree/counted_btree.h"
 #include "store/document_store.h"
+#include "virtual_ltree/virtual_ltree.h"
 
 namespace ltree {
 namespace {
@@ -57,6 +67,15 @@ std::vector<LeafCookie> MakeCookies(uint64_t n) {
   std::vector<LeafCookie> cookies(n);
   std::iota(cookies.begin(), cookies.end(), 0);
   return cookies;
+}
+
+/// Runs `fn(t)` on kReaders threads concurrently and joins them.
+template <typename Fn>
+void RunConcurrently(Fn fn) {
+  std::vector<std::thread> threads;
+  threads.reserve(kReaders);
+  for (int t = 0; t < kReaders; ++t) threads.emplace_back(fn, t);
+  for (std::thread& th : threads) th.join();
 }
 
 /// One scripted mutation. `arg` selects anchors/victims deterministically;
@@ -292,6 +311,174 @@ TEST(DocStoreConcurrentReadTest, GuardedShardReadsRaceWriter) {
   for (std::thread& th : readers) th.join();
   EXPECT_EQ(violations.load(), 0u);
   EXPECT_TRUE(store->Validate().ok());
+}
+
+// ---------------------------------------------------------------------------
+// Frozen structures: concurrent const traversal, no writer
+// ---------------------------------------------------------------------------
+
+constexpr uint64_t kFrozenLeaves = 4000;
+
+TEST(FrozenReadTest, LTreeLeafWalk) {
+  auto tree = LTree::Create(Params{.f = 16, .s = 4}).ValueOrDie();
+  std::vector<LTree::LeafHandle> handles;
+  ASSERT_TRUE(tree->BulkLoad(MakeCookies(kFrozenLeaves), &handles).ok());
+  // Mix in splits and tombstones before freezing the tree.
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(tree->InsertAfter(handles[i * 7], 100000 + i).ok());
+  }
+  for (int i = 0; i < 50; ++i) {
+    ASSERT_TRUE(tree->MarkDeleted(handles[i * 11]).ok());
+  }
+
+  std::vector<uint64_t> sums(kReaders, 0);
+  std::atomic<int> ordered_threads{0};
+  RunConcurrently([&](int t) {
+    // Full leaf walk: labels must strictly increase, and every thread
+    // must see the identical frozen sequence.
+    uint64_t sum = 0;
+    Label prev = 0;
+    bool first = true;
+    bool ordered = true;
+    for (LTree::LeafHandle leaf = tree->FirstLeaf(); leaf != nullptr;
+         leaf = tree->NextLeaf(leaf)) {
+      const Label label = tree->label(leaf);
+      if (!first && label <= prev) ordered = false;
+      prev = label;
+      first = false;
+      sum += label + tree->cookie(leaf);
+    }
+    if (ordered) ordered_threads.fetch_add(1);
+    sums[t] = sum;
+  });
+  EXPECT_EQ(ordered_threads.load(), kReaders);
+  for (int t = 1; t < kReaders; ++t) EXPECT_EQ(sums[t], sums[0]);
+}
+
+TEST(FrozenReadTest, CountedBTreeQueries) {
+  obtree::CountedBTree tree(16);
+  std::vector<obtree::Entry> entries;
+  entries.reserve(kFrozenLeaves);
+  for (uint64_t i = 0; i < kFrozenLeaves; ++i) {
+    entries.push_back({i * 3, i});
+  }
+  ASSERT_TRUE(tree.BulkBuild(entries).ok());
+
+  std::vector<uint64_t> hits(kReaders, 0);
+  RunConcurrently([&](int t) {
+    uint64_t hit = 0;
+    for (uint64_t i = static_cast<uint64_t>(t); i < kFrozenLeaves;
+         i += kReaders) {
+      if (tree.Contains(i * 3)) ++hit;
+      hit += tree.CountLess(i * 3);
+      hit += tree.RangeCount(i, i + 1000);
+      auto sel = tree.Select(i);
+      if (sel.ok()) hit += sel->value;
+    }
+    // Ordered scans from different threads over the same frozen tree.
+    for (auto it = tree.Seek(static_cast<Label>(t) * 100); it.Valid();
+         it.Next()) {
+      hit += it.key() & 1;
+    }
+    hits[t] = hit;
+  });
+  uint64_t total = 0;
+  for (uint64_t h : hits) total += h;
+  EXPECT_GT(total, 0u);
+}
+
+TEST(FrozenReadTest, VirtualLTreeLookups) {
+  auto tree = VirtualLTree::Create(Params{.f = 16, .s = 4}).ValueOrDie();
+  std::vector<Label> labels;
+  ASSERT_TRUE(tree->BulkLoad(MakeCookies(kFrozenLeaves), &labels).ok());
+
+  std::atomic<uint64_t> mismatches{0};
+  RunConcurrently([&](int t) {
+    for (uint64_t i = static_cast<uint64_t>(t); i < kFrozenLeaves;
+         i += kReaders) {
+      auto cookie = tree->GetCookie(labels[i]);
+      if (!cookie.ok() || *cookie != i) mismatches.fetch_add(1);
+      auto slot = tree->SelectSlot(i);
+      if (!slot.ok() || *slot != labels[i]) mismatches.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u);
+}
+
+TEST(FrozenReadTest, StoreReadsAcrossSchemes) {
+  for (const char* spec :
+       {"ltree:16:4", "virtual:16:4", "sequential", "gap:64", "bender"}) {
+    auto store = listlab::MakeLabelStore(spec).ValueOrDie();
+    std::vector<ItemHandle> handles;
+    ASSERT_TRUE(store->BulkLoad(MakeCookies(1000), &handles).ok()) << spec;
+
+    std::atomic<uint64_t> mismatches{0};
+    RunConcurrently([&](int t) {
+      for (size_t i = static_cast<size_t>(t); i < handles.size();
+           i += kReaders) {
+        auto cookie = store->GetCookie(handles[i]);
+        if (!cookie.ok() || *cookie != i) mismatches.fetch_add(1);
+        if (!store->GetLabel(handles[i]).ok()) mismatches.fetch_add(1);
+      }
+      // The deep auditor itself must be a pure read.
+      if (!store->Validate().ok()) mismatches.fetch_add(1);
+    });
+    EXPECT_EQ(mismatches.load(), 0u) << spec;
+  }
+}
+
+TEST(FrozenReadTest, DocumentStoreReadsAcrossShards) {
+  // Freeze a populated sharded store, then read it from every side at
+  // once: per-document label walks, per-shard live-state snapshots, feed
+  // suffixes and state vectors. stats() and Validate() are excluded like
+  // LabelStore::stats(): both refresh mutable scheme counters.
+  auto store = store::DocumentStore::Make({.num_shards = 4,
+                                           .scheme_spec = "ltree:16:4",
+                                           .feed_capacity = 1 << 20})
+                   .ValueOrDie();
+  constexpr store::DocId kDocs = 12;
+  for (store::DocId doc = 0; doc < kDocs; ++doc) {
+    ASSERT_TRUE(store->CreateDocument(doc).ok());
+    ASSERT_TRUE(store->InsertBatchAfterRank(doc, 0, 200).ok());
+  }
+
+  std::atomic<uint64_t> mismatches{0};
+  RunConcurrently([&](int t) {
+    // Each thread walks a different slice of documents...
+    for (store::DocId doc = static_cast<store::DocId>(t); doc < kDocs;
+         doc += kReaders) {
+      const uint64_t size = store->DocSize(doc).ValueOrDie();
+      Label prev = 0;
+      for (uint64_t rank = 0; rank < size; ++rank) {
+        const auto label = store->LabelAt(doc, rank);
+        if (!label.ok() || (rank > 0 && *label <= prev)) {
+          mismatches.fetch_add(1);
+        }
+        if (label.ok()) prev = *label;
+      }
+      if (store->DocCookies(doc).ValueOrDie().size() != size) {
+        mismatches.fetch_add(1);
+      }
+    }
+    // ...and every thread scans every shard's frozen feed and live state.
+    const store::StateVector head = store->CurrentStateVector();
+    for (uint32_t shard = 0; shard < store->num_shards(); ++shard) {
+      const store::ChangeFeed& feed = store->feed(shard);
+      if (head.seq(shard) != feed.last_seq()) mismatches.fetch_add(1);
+      uint64_t events = 0;
+      const std::vector<store::FeedEvent> suffix =
+          feed.EventsSince(0).ValueOrDie();
+      for (const store::FeedEvent& event : suffix) {
+        events += event.cookie != 0 ? 1 : 0;
+      }
+      if (events != feed.retained()) mismatches.fetch_add(1);
+      const auto state = store->ShardState(shard);
+      for (size_t i = 1; i < state.size(); ++i) {
+        if (state[i].first <= state[i - 1].first) mismatches.fetch_add(1);
+      }
+    }
+  });
+  EXPECT_EQ(mismatches.load(), 0u);
 }
 
 }  // namespace

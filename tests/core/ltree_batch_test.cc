@@ -36,7 +36,7 @@ TEST(LTreeBatchTest, OrderAndCountsAfterBatch) {
   ASSERT_TRUE(tree->InsertBatchAfter(handles[3], batch, &fresh).ok());
   ASSERT_EQ(fresh.size(), 25u);
   EXPECT_EQ(tree->num_slots(), 35u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   // Sequence: 0..3, 100..124, 4..9.
   std::vector<LeafCookie> seen;
   for (auto leaf = tree->FirstLeaf(); leaf != nullptr;
@@ -55,7 +55,7 @@ TEST(LTreeBatchTest, BatchIntoEmptyTree) {
   std::vector<LTree::LeafHandle> fresh;
   ASSERT_TRUE(tree->PushBackBatch(MakeCookies(50), &fresh).ok());
   EXPECT_EQ(tree->num_slots(), 50u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   auto labels = tree->AllLabels();
   EXPECT_TRUE(std::is_sorted(labels.begin(), labels.end()));
 }
@@ -69,7 +69,7 @@ TEST(LTreeBatchTest, HugeBatchTriggersEscalationSafely) {
   ASSERT_TRUE(tree->InsertBatchAfter(handles[10], MakeCookies(5000, 1000))
                   .ok());
   EXPECT_EQ(tree->num_slots(), 5064u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   // However the region coalesced, the batch paid exactly one relabel pass.
   EXPECT_EQ(tree->stats().relabel_passes, 1u);
 }
@@ -98,7 +98,7 @@ TEST(LTreeBatchTest, PlanMatchesApplyOutcome) {
   auto plan = tree->PlanBatchAfter(handles[5], 40).ValueOrDie();
   tree->ResetStats();
   ASSERT_TRUE(tree->InsertBatchAfter(handles[5], MakeCookies(40, 500)).ok());
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   const LTreeStats& st = tree->stats();
   if (plan.needs_rebuild && !plan.rebuild_root) {
     EXPECT_EQ(st.splits, 1u);
@@ -122,7 +122,7 @@ TEST(LTreeBatchTest, BatchBeforeFirstLeaf) {
   ASSERT_TRUE(
       tree->InsertBatchBefore(handles[0], MakeCookies(10, 100)).ok());
   EXPECT_EQ(tree->cookie(tree->FirstLeaf()), 100u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
 }
 
 TEST(LTreeBatchTest, ManyRandomBatchesStressInvariants) {
@@ -140,8 +140,9 @@ TEST(LTreeBatchTest, ManyRandomBatchesStressInvariants) {
                                          MakeCookies(k, cookie), &handles)
                       .ok());
       cookie += k;
-      ASSERT_TRUE(tree->CheckInvariants().ok())
-          << "round " << round << " f=" << f;
+      ASSERT_TRUE(tree->Validate().ok())
+          << "round " << round << " f=" << f << ": "
+          << tree->Validate().ToString();
     }
     auto labels = tree->AllLabels();
     EXPECT_TRUE(std::is_sorted(labels.begin(), labels.end()));
@@ -165,7 +166,7 @@ TEST(LTreeCapacityTest, BulkLoadBeyondLabelSpaceFails) {
   // not possible safely, so instead verify deep growth works up to a large
   // but feasible size and the structure stays sound.
   ASSERT_TRUE(tree->PushBackBatch(MakeCookies(100000, 10)).ok());
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   EXPECT_LT(tree->label_bits(), 64u);
 }
 
@@ -176,15 +177,15 @@ TEST(LTreeCapacityTest, TinyLabelSpaceReportsCapacityExceeded) {
   Params params{.f = 4096, .s = 2048};
   auto tree = LTree::Create(params).ValueOrDie();
   ASSERT_TRUE(tree->PushBackBatch(MakeCookies(60000)).ok());
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   Status st = tree->PushBackBatch(MakeCookies(10000, 60000));
   EXPECT_TRUE(st.IsCapacityExceeded()) << st.ToString();
   // The failed batch must not have mutated anything.
   EXPECT_EQ(tree->num_slots(), 60000u);
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   // Smaller inserts still work afterwards.
   EXPECT_TRUE(tree->PushBack(999999).ok());
-  EXPECT_TRUE(tree->CheckInvariants().ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
 }
 
 TEST(LTreeBatchTest, MeasuredAmortizedCostStaysUnderSection41Bound) {
@@ -209,7 +210,7 @@ TEST(LTreeBatchTest, MeasuredAmortizedCostStaysUnderSection41Bound) {
       ASSERT_TRUE(tree->InsertBatchAfter(handles[r], batch, &handles).ok());
       remaining -= b;
     }
-    ASSERT_TRUE(tree->CheckInvariants().ok());
+    ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
     const double measured = tree->stats().AmortizedCostPerInsert();
     const double bound = model::CostModel::BatchAmortizedCost(
         p.f, p.s, 2000.0, static_cast<double>(k));
@@ -239,7 +240,7 @@ TEST(LTreePurgeTest, TombstonesReclaimedBySplits) {
     auto h = tree->InsertAfter(live, 100 + i);
     ASSERT_TRUE(h.ok());
     live = *h;
-    ASSERT_TRUE(tree->CheckInvariants().ok());
+    ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   }
   EXPECT_GT(tree->stats().tombstones_purged, 0u);
   // All originally deleted slots near the hot region are gone; slot count

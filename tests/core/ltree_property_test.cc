@@ -67,8 +67,9 @@ TEST_P(LTreePropertyTest, RandomOpStreamKeepsAllInvariants) {
       }
     }
 
-    ASSERT_TRUE(tree->CheckInvariants().ok())
-        << "op " << op << " params f=" << pc.f << " s=" << pc.s;
+    ASSERT_TRUE(tree->Validate().ok())
+        << "op " << op << " params f=" << pc.f << " s=" << pc.s << ": "
+        << tree->Validate().ToString();
   }
 
   if (!pc.purge) {

@@ -177,7 +177,7 @@ TEST_P(ArenaConservationTest, RandomScriptConservesNodes) {
     if (i % 100 == 0) check("mid script");
   }
   check("after script");
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
 
   if (purge) {
     EXPECT_GT(tree->stats().tombstones_purged, 0u);
@@ -211,7 +211,7 @@ TEST(ArenaConservationTest, BatchScriptConservesNodes) {
     }
     ASSERT_EQ(tree->arena_stats().live(), CountNodes(tree->root()));
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
 }
 
 // ---------------------------------------------------------------------------
@@ -288,7 +288,7 @@ TEST(SeedGoldenStatsTest, UniformSingleInserts) {
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
     handles.push_back(tree->InsertAfter(handles[r], 1000 + i).ValueOrDie());
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   ExpectGolden(*tree, {.ancestor_updates = 26904,
                        .nodes_relabeled = 53482,
                        .leaves_relabeled = 36285,
@@ -316,7 +316,7 @@ TEST(SeedGoldenStatsTest, BatchInserts) {
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
     ASSERT_TRUE(tree->InsertBatchAfter(handles[r], batch, &handles).ok());
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   ExpectGolden(*tree, {.ancestor_updates = 335,
                        .nodes_relabeled = 19262,
                        .leaves_relabeled = 9446,
@@ -355,7 +355,7 @@ TEST(SeedGoldenStatsTest, MixedEraseInsertWithPurge) {
     handles.push_back(tree->InsertAfter(live, 512 + i).ValueOrDie());
     erased.push_back(false);
   }
-  ASSERT_TRUE(tree->CheckInvariants().ok());
+  ASSERT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
   ExpectGolden(*tree, {.ancestor_updates = 15932,
                        .nodes_relabeled = 101354,
                        .leaves_relabeled = 68980,
@@ -389,7 +389,8 @@ TEST(SeedGoldenStatsTest, EscalatingBatchesCoalesceIntoOneRegion) {
     for (auto& c : batch) c = next++;
     const size_t r = static_cast<size_t>(rng.Uniform(handles.size()));
     ASSERT_TRUE(tree->InsertBatchAfter(handles[r], batch, &handles).ok());
-    ASSERT_TRUE(tree->CheckInvariants().ok()) << "batch " << b;
+    ASSERT_TRUE(tree->Validate().ok())
+        << "batch " << b << ": " << tree->Validate().ToString();
   }
   // 48 batches -> 48 relabel passes, even though one region absorbed a
   // fanout-overflow escalation (esc=1, coal=1): splits counts regions.

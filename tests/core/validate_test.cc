@@ -35,12 +35,6 @@ std::unique_ptr<LTree> MakeTree(uint64_t leaves) {
   return tree;
 }
 
-audit::Report Audit(const LTree& tree) {
-  audit::Report report;
-  audit::AuditLTree(tree, &report);
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // Report mechanics
 // ---------------------------------------------------------------------------
@@ -94,7 +88,7 @@ TEST(ReportTest, AbsorbPrefixesPaths) {
 
 TEST(LTreeAuditTest, CleanTreeHasNoViolations) {
   auto tree = MakeTree(300);
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.ok()) << report.ToString();
 }
 
@@ -105,11 +99,36 @@ TEST(LTreeAuditTest, DetectsSwappedLeafLabels) {
   ASSERT_NE(second, nullptr);
   std::swap(first->num, second->num);
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("label-order")) << report.ToString();
   // The swap also breaks the num(w) identity — both slugs must surface.
   EXPECT_TRUE(report.HasRule("label-identity")) << report.ToString();
-  EXPECT_TRUE(tree->CheckInvariants().IsCorruption());
+}
+
+TEST(LTreeAuditTest, DetectsOffByOneLeafLabel) {
+  auto tree = MakeTree(300);
+  Node* leaf = tree->FirstLeaf();
+  for (int i = 0; i < 3; ++i) leaf = tree->NextLeaf(leaf);
+  const Label saved = leaf->num;
+  leaf->num = saved + 1;  // violates num(w) = num(v) + i*(f+1)^h
+
+  const audit::Report report = tree->Validate();
+  EXPECT_TRUE(report.HasRule("label-identity")) << report.ToString();
+  leaf->num = saved;
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
+}
+
+TEST(LTreeAuditTest, DetectsLeafBudgetOverflow) {
+  auto tree = MakeTree(300);
+  // Proposition 2: l(t) < lmax(t). Inflate the root's count to its budget.
+  Node* root = const_cast<Node*>(tree->root());
+  const uint64_t saved = root->leaf_count;
+  root->leaf_count = tree->powers().LeafBudget(root->height);
+
+  const audit::Report report = tree->Validate();
+  EXPECT_TRUE(report.HasRule("leaf-budget")) << report.ToString();
+  root->leaf_count = saved;
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
 }
 
 TEST(LTreeAuditTest, DetectsBrokenParentLink) {
@@ -119,7 +138,7 @@ TEST(LTreeAuditTest, DetectsBrokenParentLink) {
   Node* const saved = leaf->parent;
   leaf->parent = leaf;  // point anywhere but the real parent
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("parent-link")) << report.ToString();
   leaf->parent = saved;  // restore so teardown walks a sane tree
 }
@@ -131,7 +150,7 @@ TEST(LTreeAuditTest, DetectsWrongSubtreeLeafCount) {
   Node* child = root->children[0];
   child->leaf_count += 1;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   // Wrong at the child (its children no longer sum to it) and at the root
   // (whose stored total now disagrees with the actual slot count).
   EXPECT_TRUE(report.HasRule("leaf-count-sum")) << report.ToString();
@@ -145,7 +164,7 @@ TEST(LTreeAuditTest, DetectsTombstoneAccountingDrift) {
   ASSERT_FALSE(leaf->deleted);
   leaf->deleted = true;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("live-count")) << report.ToString();
   leaf->deleted = false;
 }
@@ -156,7 +175,7 @@ TEST(LTreeAuditTest, DetectsChildIndexMismatch) {
   ASSERT_GE(root->children.size(), 2u);
   root->children[1]->index_in_parent = 0;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   EXPECT_TRUE(report.HasRule("child-index")) << report.ToString();
   root->children[1]->index_in_parent = 1;
 }
@@ -167,7 +186,7 @@ TEST(LTreeAuditTest, ViolationPathsAreStructural) {
   Node* child = root->children[0];
   child->leaf_count += 1;
 
-  const audit::Report report = Audit(*tree);
+  const audit::Report report = tree->Validate();
   ASSERT_FALSE(report.ok());
   bool found = false;
   for (const audit::Violation& v : report.violations()) {
@@ -175,6 +194,66 @@ TEST(LTreeAuditTest, ViolationPathsAreStructural) {
   }
   EXPECT_TRUE(found) << report.ToString();
   child->leaf_count -= 1;
+}
+
+// ---------------------------------------------------------------------------
+// Seed-and-restore on a minimal (8-leaf, binary) tree: the fault is named,
+// and undoing it reports clean again, so the rule has no false positive
+// once the structure is whole.
+// ---------------------------------------------------------------------------
+
+std::unique_ptr<LTree> MakeSmallTree(std::vector<LTree::LeafHandle>* handles) {
+  auto tree = LTree::Create(Params{.f = 4, .s = 2}).ValueOrDie();
+  EXPECT_TRUE(tree->BulkLoad(MakeCookies(8), handles).ok());
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
+  return tree;
+}
+
+TEST(InvariantCheckerTest, DetectsWrongLeafCount) {
+  std::vector<LTree::LeafHandle> handles;
+  auto tree = MakeSmallTree(&handles);
+  Node* internal = handles[0]->parent;
+  const uint64_t saved = internal->leaf_count;
+  internal->leaf_count = saved + 1;
+  EXPECT_TRUE(tree->Validate().HasRule("leaf-count-sum"))
+      << tree->Validate().ToString();
+  internal->leaf_count = saved;
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
+}
+
+TEST(InvariantCheckerTest, DetectsBrokenParentPointer) {
+  std::vector<LTree::LeafHandle> handles;
+  auto tree = MakeSmallTree(&handles);
+  Node* leaf = handles[2];
+  Node* const saved = leaf->parent;
+  ASSERT_NE(saved, handles[7]->parent);
+  leaf->parent = handles[7]->parent;  // a real internal node, just not ours
+  EXPECT_TRUE(tree->Validate().HasRule("parent-link"))
+      << tree->Validate().ToString();
+  leaf->parent = saved;
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
+}
+
+TEST(InvariantCheckerTest, DetectsWrongIndexInParent) {
+  std::vector<LTree::LeafHandle> handles;
+  auto tree = MakeSmallTree(&handles);
+  Node* leaf = handles[0];
+  const uint32_t saved = leaf->index_in_parent;
+  leaf->index_in_parent = saved + 1;
+  EXPECT_TRUE(tree->Validate().HasRule("child-index"))
+      << tree->Validate().ToString();
+  leaf->index_in_parent = saved;
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
+}
+
+TEST(InvariantCheckerTest, DetectsStaleLiveCounter) {
+  std::vector<LTree::LeafHandle> handles;
+  auto tree = MakeSmallTree(&handles);
+  handles[1]->deleted = true;  // bypassing MarkDeleted leaves counters stale
+  EXPECT_TRUE(tree->Validate().HasRule("live-count"))
+      << tree->Validate().ToString();
+  handles[1]->deleted = false;
+  EXPECT_TRUE(tree->Validate().ok()) << tree->Validate().ToString();
 }
 
 // ---------------------------------------------------------------------------

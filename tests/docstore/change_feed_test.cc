@@ -33,12 +33,6 @@ FeedEvent Insert(LeafCookie cookie, Label label) {
           .new_label = label};
 }
 
-audit::Report Audit(const ChangeFeed& feed) {
-  audit::Report report;
-  feed.Audit(&report, "feed");
-  return report;
-}
-
 // ---------------------------------------------------------------------------
 // Sequencing and retention
 // ---------------------------------------------------------------------------
@@ -152,14 +146,14 @@ TEST(ChangeFeedAuditTest, CleanFeedAuditsOk) {
   ChangeFeed feed(4);
   for (uint64_t i = 0; i < 10; ++i) feed.Append(Insert(i, i));
   feed.TrimTo(2);
-  EXPECT_TRUE(Audit(feed).ok());
+  EXPECT_TRUE(feed.Validate().ok()) << feed.Validate().ToString();
 }
 
 TEST(ChangeFeedAuditTest, SequenceGapIsReported) {
   ChangeFeed feed(16);
   for (uint64_t i = 0; i < 5; ++i) feed.Append(Insert(i, i));
   ChangeFeedTestPeer::events(&feed)->at(2).seq = 99;
-  const audit::Report report = Audit(feed);
+  const audit::Report report = feed.Validate();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasRule("feed-continuity"));
 }
@@ -168,16 +162,18 @@ TEST(ChangeFeedAuditTest, TrimCountMismatchIsReported) {
   ChangeFeed feed(16);
   for (uint64_t i = 0; i < 5; ++i) feed.Append(Insert(i, i));
   *ChangeFeedTestPeer::trimmed(&feed) = 3;  // nothing was actually trimmed
-  const audit::Report report = Audit(feed);
+  const audit::Report report = feed.Validate();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasRule("feed-continuity"));
+  // Paths are relative: the owning store Absorbs them under its prefix.
+  EXPECT_EQ(report.violations()[0].path, "");
 }
 
 TEST(ChangeFeedAuditTest, StaleHeadIsReported) {
   ChangeFeed feed(16);
   for (uint64_t i = 0; i < 5; ++i) feed.Append(Insert(i, i));
   *ChangeFeedTestPeer::last_seq(&feed) = 7;  // claims events never appended
-  const audit::Report report = Audit(feed);
+  const audit::Report report = feed.Validate();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasRule("feed-continuity"));
 }
@@ -187,7 +183,7 @@ TEST(ChangeFeedAuditTest, OverCapacityIsReported) {
   for (uint64_t i = 0; i < 2; ++i) feed.Append(Insert(i, i));
   ChangeFeedTestPeer::events(&feed)->push_back(Insert(9, 9));
   ChangeFeedTestPeer::events(&feed)->back().seq = 3;
-  const audit::Report report = Audit(feed);
+  const audit::Report report = feed.Validate();
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(report.HasRule("feed-continuity"));
 }

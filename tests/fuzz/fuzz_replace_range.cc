@@ -93,12 +93,8 @@ void CheckAgainstOracle(const CountedBTree& tree,
         oracle.begin());
     if (tree.CountLess(probe) != want_less) Die("CountLess mismatch");
   }
-  const Status invariants = tree.CheckInvariants();
-  if (!invariants.ok()) {
-    std::fprintf(stderr, "replace-range: auditor: %s\n",
-                 invariants.message().c_str());
-    std::abort();
-  }
+  ltree::audit::AbortIfCorrupt(tree.Validate(), "replace-range",
+                               "the last step");
 }
 
 }  // namespace

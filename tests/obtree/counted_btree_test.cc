@@ -17,7 +17,7 @@ TEST(CountedBTreeTest, EmptyTree) {
   EXPECT_EQ(tree.CountLess(100), 0u);
   EXPECT_FALSE(tree.Select(0).ok());
   EXPECT_FALSE(tree.Begin().Valid());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   EXPECT_TRUE(tree.Delete(1).IsNotFound());
   EXPECT_TRUE(tree.Update(1, 2).IsNotFound());
 }
@@ -32,7 +32,7 @@ TEST(CountedBTreeTest, InsertAndLookup) {
   EXPECT_EQ(*tree.Lookup(5), 50u);
   EXPECT_EQ(*tree.Lookup(20), 200u);
   EXPECT_TRUE(tree.Lookup(15).status().IsNotFound());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(CountedBTreeTest, DuplicateInsertRejected) {
@@ -57,7 +57,7 @@ TEST(CountedBTreeTest, ManySequentialInsertsSplit) {
     ASSERT_TRUE(tree.Insert(i, i * 2).ok());
   }
   EXPECT_EQ(tree.size(), 1000u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   for (uint64_t i = 0; i < 1000; ++i) {
     ASSERT_EQ(*tree.Lookup(i), i * 2);
   }
@@ -68,7 +68,7 @@ TEST(CountedBTreeTest, ReverseInserts) {
   for (uint64_t i = 1000; i > 0; --i) {
     ASSERT_TRUE(tree.Insert(i, i).ok());
   }
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   EXPECT_EQ(tree.CountLess(501), 500u);
 }
 
@@ -161,7 +161,7 @@ TEST(CountedBTreeTest, DeleteSimple) {
   EXPECT_EQ(tree.size(), 19u);
   EXPECT_FALSE(tree.Contains(7));
   EXPECT_TRUE(tree.Delete(7).IsNotFound());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(CountedBTreeTest, DeleteEverything) {
@@ -169,7 +169,8 @@ TEST(CountedBTreeTest, DeleteEverything) {
   for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
   for (uint64_t i = 0; i < 100; ++i) {
     ASSERT_TRUE(tree.Delete(i).ok()) << i;
-    ASSERT_TRUE(tree.CheckInvariants().ok()) << i;
+    ASSERT_TRUE(tree.Validate().ok())
+        << i << ": " << tree.Validate().ToString();
   }
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_FALSE(tree.Begin().Valid());
@@ -183,7 +184,7 @@ TEST(CountedBTreeTest, DeleteReverseOrder) {
   for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
   for (uint64_t i = 100; i > 0; --i) {
     ASSERT_TRUE(tree.Delete(i - 1).ok());
-    ASSERT_TRUE(tree.CheckInvariants().ok());
+    ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   }
   EXPECT_EQ(tree.size(), 0u);
 }
@@ -194,12 +195,12 @@ TEST(CountedBTreeTest, BulkBuildMatchesInserts) {
   CountedBTree tree(16);
   ASSERT_TRUE(tree.BulkBuild(entries).ok());
   EXPECT_EQ(tree.size(), 1234u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   EXPECT_EQ(tree.ScanAll(), entries);
   // Post-build mutations work.
   ASSERT_TRUE(tree.Insert(3, 999).ok());
   ASSERT_TRUE(tree.Delete(0).ok());
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(CountedBTreeTest, BulkBuildRejectsUnsorted) {
@@ -217,7 +218,8 @@ TEST(CountedBTreeTest, BulkBuildSmallSizes) {
     CountedBTree tree(4);
     ASSERT_TRUE(tree.BulkBuild(entries).ok()) << n;
     EXPECT_EQ(tree.size(), n);
-    EXPECT_TRUE(tree.CheckInvariants().ok()) << n;
+    EXPECT_TRUE(tree.Validate().ok())
+        << n << ": " << tree.Validate().ToString();
   }
 }
 
@@ -234,7 +236,7 @@ TEST(CountedBTreeTest, ReplaceRangeBasic) {
   EXPECT_EQ(*tree.Lookup(26), 101u);
   EXPECT_TRUE(tree.Contains(10));
   EXPECT_TRUE(tree.Contains(60));
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(CountedBTreeTest, ReplaceRangeValidation) {
@@ -256,7 +258,7 @@ TEST(CountedBTreeTest, ReplaceRangeEmptyRangeIsNoop) {
   ASSERT_TRUE(tree.ReplaceRange(5, 5, {}).ok());
   EXPECT_EQ(tree.size(), 10u);
   EXPECT_TRUE(tree.Contains(5));
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   // Also a no-op on an empty tree.
   CountedBTree empty(4);
   ASSERT_TRUE(empty.ReplaceRange(0, 0, {}).ok());
@@ -280,14 +282,14 @@ TEST(CountedBTreeTest, ReplaceRangeEraseToEmptyAndRefill) {
   // Pure range erase of everything empties the tree.
   ASSERT_TRUE(tree.ReplaceRange(0, 100, {}).ok());
   EXPECT_EQ(tree.size(), 0u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   // A replacement into the now-empty tree rebuilds it.
   std::vector<Entry> repl;
   for (uint64_t i = 0; i < 9; ++i) repl.push_back({i * 3, i});
   ASSERT_TRUE(tree.ReplaceRange(0, 100, repl).ok());
   EXPECT_EQ(tree.size(), 9u);
   EXPECT_EQ(*tree.Lookup(24), 8u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(CountedBTreeTest, ReplaceRangeGrowsAndShrinksTheTree) {
@@ -300,12 +302,12 @@ TEST(CountedBTreeTest, ReplaceRangeGrowsAndShrinksTheTree) {
   for (uint64_t i = 0; i < 400; ++i) dense.push_back({1000 + i, i});
   ASSERT_TRUE(tree.ReplaceRange(1000, 2000, dense).ok());
   EXPECT_EQ(tree.size(), 50u - 10u + 400u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   std::vector<Entry> sparse{{1500, 7u}};
   ASSERT_TRUE(tree.ReplaceRange(1000, 2000, sparse).ok());
   EXPECT_EQ(tree.size(), 50u - 10u + 1u);
   EXPECT_EQ(*tree.Lookup(1500), 7u);
-  EXPECT_TRUE(tree.CheckInvariants().ok());
+  EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(CountedBTreeTest, MoveConstruction) {
@@ -329,8 +331,9 @@ TEST(CountedBTreeTest, BulkBuildAllSizesMeetOccupancy) {
       for (uint64_t i = 0; i < n; ++i) entries.push_back({i, i});
       CountedBTree tree(order);
       ASSERT_TRUE(tree.BulkBuild(entries).ok());
-      ASSERT_TRUE(tree.CheckInvariants().ok())
-          << "order=" << order << " n=" << n;
+      ASSERT_TRUE(tree.Validate().ok())
+          << "order=" << order << " n=" << n << ": "
+          << tree.Validate().ToString();
       ASSERT_EQ(tree.size(), n);
     }
     // A few larger sizes around multiples of order^2.
@@ -340,8 +343,9 @@ TEST(CountedBTreeTest, BulkBuildAllSizesMeetOccupancy) {
       for (uint64_t i = 0; i < n; ++i) entries.push_back({i, i});
       CountedBTree tree(order);
       ASSERT_TRUE(tree.BulkBuild(entries).ok());
-      ASSERT_TRUE(tree.CheckInvariants().ok())
-          << "order=" << order << " n=" << n;
+      ASSERT_TRUE(tree.Validate().ok())
+          << "order=" << order << " n=" << n << ": "
+          << tree.Validate().ToString();
     }
   }
 }

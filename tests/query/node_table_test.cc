@@ -14,7 +14,7 @@
 namespace ltree {
 namespace query {
 
-// Reaches into the indexes to seed the corruptions Audit() must report.
+// Reaches into the indexes to seed the corruptions Validate() must report.
 class NodeTableTestPeer {
  public:
   static std::vector<NodeTable::Slot>& TagIndex(NodeTable* t,
@@ -59,7 +59,7 @@ TEST(NodeTableTest, AddFinalizeQuery) {
   EXPECT_TRUE(t.ByTag("zzz").empty());
   EXPECT_EQ(t.AllElements().size(), 3u);
   EXPECT_EQ(t.ChildrenOf(1).size(), 2u);
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
 }
 
 TEST(NodeTableTest, FinalizeRejectsBadRegions) {
@@ -91,7 +91,7 @@ TEST(NodeTableTest, UpdateLabelsInPlace) {
   ASSERT_TRUE(t.UpdateEnd(2, 6).ok());
   EXPECT_EQ((*t.Find(2))->region, (Region{4, 6}));
   // Order-preserving update keeps the index sorted.
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
   EXPECT_TRUE(t.UpdateStart(99, 1).IsNotFound());
 }
 
@@ -107,7 +107,7 @@ TEST(NodeTableTest, InsertAfterFinalizeKeepsOrder) {
   EXPECT_EQ(bs[0]->id, 2u);
   EXPECT_EQ(bs[1]->id, 4u);
   EXPECT_EQ(bs[2]->id, 3u);
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
 }
 
 TEST(NodeTableTest, EraseRemovesFromAllIndexes) {
@@ -154,7 +154,7 @@ TEST(NodeTableTest, NestedRowsWithTheSameTag) {
   t.Add(Row(2, "a", 10, 50, 1, 1));
   ASSERT_TRUE(t.Finalize().ok());
   EXPECT_EQ(Ids(t.ByTag("a")), (std::vector<xml::NodeId>{1, 2, 3}));
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
   auto ids = [&](const char* path) {
     return Ids(EvaluateWithLabels(PathQuery::Parse(path).ValueOrDie(), t));
   };
@@ -165,7 +165,7 @@ TEST(NodeTableTest, NestedRowsWithTheSameTag) {
   EXPECT_EQ(Ids(t.ByTag("a")), (std::vector<xml::NodeId>{1, 3}));
   EXPECT_EQ(ids("//a//a"), (std::vector<xml::NodeId>{3}));
   EXPECT_TRUE(ids("//a/a").empty()) << "3's parent is gone";
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
 }
 
 TEST(NodeTableTest, InsertAndEraseAtHeadMiddleAndTail) {
@@ -178,7 +178,7 @@ TEST(NodeTableTest, InsertAndEraseAtHeadMiddleAndTail) {
   ASSERT_TRUE(t.Insert(Row(5, "b", 150, 160, 1, 1)).ok());  // middle
   ASSERT_TRUE(t.Insert(Row(6, "b", 300, 310, 1, 1)).ok());  // tail
   EXPECT_EQ(Ids(t.ByTag("b")), (std::vector<xml::NodeId>{4, 2, 5, 3, 6}));
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
   ASSERT_TRUE(t.Erase(4).ok());  // head
   EXPECT_EQ(Ids(t.ByTag("b")), (std::vector<xml::NodeId>{2, 5, 3, 6}));
   ASSERT_TRUE(t.Erase(5).ok());  // middle
@@ -186,7 +186,7 @@ TEST(NodeTableTest, InsertAndEraseAtHeadMiddleAndTail) {
   ASSERT_TRUE(t.Erase(6).ok());  // tail
   EXPECT_EQ(Ids(t.ByTag("b")), (std::vector<xml::NodeId>{2, 3}));
   EXPECT_EQ(t.size(), 3u);
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
 }
 
 TEST(NodeTableTest, EraseAfterRelabelMovedTheLabels) {
@@ -205,7 +205,7 @@ TEST(NodeTableTest, EraseAfterRelabelMovedTheLabels) {
   EXPECT_EQ((*t.Find(3))->region, (Region{601, 637}));
   ASSERT_TRUE(t.Erase(3).ok()) << "found by its new start label";
   EXPECT_EQ(Ids(t.ByTag("b")), (std::vector<xml::NodeId>{2, 4}));
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
 }
 
 TEST(NodeTableTest, EraseThenReinsertReusesTheSlot) {
@@ -228,7 +228,7 @@ TEST(NodeTableTest, EraseThenReinsertReusesTheSlot) {
   EXPECT_EQ(Ids(t.ChildrenOf(1)), (std::vector<xml::NodeId>{3}));
   EXPECT_EQ(Ids(t.ChildrenOf(3)), (std::vector<xml::NodeId>{7}));
   EXPECT_EQ(t.size(), 3u);
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
 }
 
 TEST(NodeTableTest, ChildrenOfAfterErasingAMiddleChild) {
@@ -243,7 +243,7 @@ TEST(NodeTableTest, ChildrenOfAfterErasingAMiddleChild) {
   ASSERT_TRUE(t.Erase(2).ok());
   ASSERT_TRUE(t.Erase(5).ok());
   EXPECT_EQ(SortedIds(t.ChildrenOf(1)), (std::vector<xml::NodeId>{4}));
-  EXPECT_TRUE(t.CheckInvariants().ok());
+  EXPECT_TRUE(t.Validate().ok()) << t.Validate().ToString();
 }
 
 // Random inserts, erases and order-preserving relabels, checked after every
@@ -304,8 +304,8 @@ TEST(NodeTableTest, RandomOpsMatchAVectorOracle) {
       std::sort(kids.begin(), kids.end());
       ASSERT_EQ(SortedIds(t.ChildrenOf(parent)), kids) << "op " << op;
     }
-    ASSERT_TRUE(t.CheckInvariants().ok())
-        << t.CheckInvariants().ToString() << " op " << op;
+    ASSERT_TRUE(t.Validate().ok())
+        << "op " << op << ": " << t.Validate().ToString();
   };
   check(-1);
 
@@ -355,14 +355,13 @@ NodeTable AuditFixture() {
   t.Add(Row(3, "b", 200, 210, 1, 1));
   t.Add(Row(4, "b", 300, 310, 1, 1));
   LTREE_CHECK_OK(t.Finalize());
-  LTREE_CHECK_OK(t.CheckInvariants());
+  audit::AbortIfCorrupt(t.Validate(), "NodeTable", "AuditFixture");
   return t;
 }
 
 audit::Report AuditOf(const NodeTable& t) {
-  audit::Report report;
-  t.Audit(&report);
-  EXPECT_FALSE(t.CheckInvariants().ok());
+  audit::Report report = t.Validate();
+  EXPECT_FALSE(report.ok());
   return report;
 }
 

@@ -28,7 +28,7 @@ TEST(VirtualLTreeTest, BulkLoadMatchesPaperFigure2) {
   EXPECT_EQ(labels, (std::vector<Label>{0, 1, 5, 6, 25, 26, 30, 31}));
   EXPECT_EQ(vt->height(), 3u);
   EXPECT_EQ(vt->label_space(), 125u);
-  EXPECT_TRUE(vt->CheckInvariants().ok());
+  EXPECT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
 }
 
 TEST(VirtualLTreeTest, SecondBulkLoadRejected) {
@@ -58,7 +58,7 @@ TEST(VirtualLTreeTest, InsertAfterWithoutSplit) {
   EXPECT_EQ(*vt->GetCookie(*inserted), 100u);
   EXPECT_EQ(vt->num_slots(), 9u);
   EXPECT_EQ(vt->stats().splits, 0u);
-  EXPECT_TRUE(vt->CheckInvariants().ok());
+  EXPECT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
 }
 
 TEST(VirtualLTreeTest, InsertOnUnknownLabelFails) {
@@ -76,7 +76,7 @@ TEST(VirtualLTreeTest, PushBackOnEmpty) {
   auto l1 = vt->PushBack(8);
   ASSERT_TRUE(l1.ok());
   EXPECT_GT(*l1, *l0);
-  EXPECT_TRUE(vt->CheckInvariants().ok());
+  EXPECT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
 }
 
 TEST(VirtualLTreeTest, PushFrontShiftsExisting) {
@@ -100,7 +100,7 @@ TEST(VirtualLTreeTest, SplitKeepsOrder) {
   auto b = vt->InsertAfter(*a, 101);
   ASSERT_TRUE(b.ok());
   EXPECT_EQ(vt->stats().splits, 1u);
-  EXPECT_TRUE(vt->CheckInvariants().ok());
+  EXPECT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
   // Cookie order must read 0,1,100,101,2,...,7.
   std::vector<LeafCookie> order;
   for (Label l : vt->AllLabels()) order.push_back(*vt->GetCookie(l));
@@ -115,7 +115,7 @@ TEST(VirtualLTreeTest, RootSplitGrowsHeight) {
   uint64_t cookie = 100;
   while (vt->stats().root_splits == 0) {
     ASSERT_TRUE(vt->PushBack(cookie++).ok());
-    ASSERT_TRUE(vt->CheckInvariants().ok());
+    ASSERT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
     ASSERT_LT(cookie, 200u);
   }
   EXPECT_EQ(vt->height(), 3u);
@@ -170,7 +170,7 @@ TEST(VirtualLTreeTest, BatchInsertAppendsInOrder) {
   ASSERT_TRUE(vt->InsertBatchAfter(labels[1], batch, &batch_labels).ok());
   ASSERT_EQ(batch_labels.size(), 5u);
   EXPECT_TRUE(std::is_sorted(batch_labels.begin(), batch_labels.end()));
-  EXPECT_TRUE(vt->CheckInvariants().ok());
+  EXPECT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
   std::vector<LeafCookie> order;
   for (Label l : vt->AllLabels()) order.push_back(*vt->GetCookie(l));
   EXPECT_EQ(order, (std::vector<LeafCookie>{0, 1, 100, 101, 102, 103, 104, 2,
@@ -189,7 +189,7 @@ TEST(VirtualLTreeTest, CapacityErrorWithoutCorruption) {
   // (Covered more cheaply in the materialized tests; here check the small
   // params path that the tree stays usable after an error.)
   ASSERT_TRUE(vt->BulkLoad(MakeCookies(8)).ok());
-  EXPECT_TRUE(vt->CheckInvariants().ok());
+  EXPECT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
 }
 
 }  // namespace

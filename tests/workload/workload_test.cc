@@ -15,7 +15,7 @@ TEST(RandomDocumentTest, SizeAndValidity) {
   opts.seed = 1;
   xml::Document doc = GenerateRandomDocument(opts);
   EXPECT_EQ(doc.num_elements(), 500u);
-  EXPECT_TRUE(doc.CheckInvariants().ok());
+  EXPECT_TRUE(doc.Validate().ok()) << doc.Validate().ToString();
   // Serialized output re-parses.
   auto doc2 = xml::Parse(xml::Serialize(doc));
   ASSERT_TRUE(doc2.ok());
@@ -50,7 +50,7 @@ TEST(RandomDocumentTest, RespectsMaxDepth) {
 
 TEST(CatalogTest, StructureAndDeterminism) {
   xml::Document doc = GenerateCatalog(5, 3, 42);
-  EXPECT_TRUE(doc.CheckInvariants().ok());
+  EXPECT_TRUE(doc.Validate().ok()) << doc.Validate().ToString();
   EXPECT_EQ(doc.root()->tag, "site");
   uint64_t books = 0;
   uint64_t titles = 0;

@@ -10,7 +10,7 @@ TEST(DocumentTest, EmptyDocument) {
   Document doc;
   EXPECT_EQ(doc.root(), nullptr);
   EXPECT_EQ(doc.num_nodes(), 0u);
-  EXPECT_TRUE(doc.CheckInvariants().ok());
+  EXPECT_TRUE(doc.Validate().ok()) << doc.Validate().ToString();
   EXPECT_TRUE(doc.TagStream().empty());
 }
 
@@ -27,7 +27,7 @@ TEST(DocumentTest, BuildSmallTree) {
   EXPECT_EQ(doc.num_nodes(), 4u);
   EXPECT_EQ(doc.num_elements(), 4u);
   EXPECT_EQ(book->ChildCount(), 2u);
-  EXPECT_TRUE(doc.CheckInvariants().ok());
+  EXPECT_TRUE(doc.Validate().ok()) << doc.Validate().ToString();
 }
 
 TEST(DocumentTest, TagStreamMatchesPaperFigure1) {
@@ -85,7 +85,7 @@ TEST(DocumentTest, InsertBeforeAndAfter) {
     tags.push_back(n->tag);
   }
   EXPECT_EQ(tags, (std::vector<std::string>{"a", "b", "b2", "c"}));
-  EXPECT_TRUE(doc.CheckInvariants().ok());
+  EXPECT_TRUE(doc.Validate().ok()) << doc.Validate().ToString();
 }
 
 TEST(DocumentTest, InsertValidation) {
@@ -121,7 +121,7 @@ TEST(DocumentTest, DetachAndReattach) {
   EXPECT_EQ(a->parent, nullptr);
   ASSERT_TRUE(doc.AppendChild(b, a).ok());
   EXPECT_EQ(a->parent, b);
-  EXPECT_TRUE(doc.CheckInvariants().ok());
+  EXPECT_TRUE(doc.Validate().ok()) << doc.Validate().ToString();
   EXPECT_TRUE(doc.Detach(doc.CreateElement("loose")).IsFailedPrecondition());
 }
 
@@ -138,7 +138,7 @@ TEST(DocumentTest, RemoveSubtreeUpdatesCounts) {
   EXPECT_EQ(doc.num_nodes(), 1u);
   EXPECT_EQ(doc.num_elements(), 1u);
   EXPECT_EQ(r->first_child, nullptr);
-  EXPECT_TRUE(doc.CheckInvariants().ok());
+  EXPECT_TRUE(doc.Validate().ok()) << doc.Validate().ToString();
 }
 
 TEST(DocumentTest, FindAttr) {
