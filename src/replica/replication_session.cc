@@ -1,8 +1,10 @@
 #include "replica/replication_session.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "common/macros.h"
 
@@ -45,22 +47,20 @@ void ReplicationSession::NoteViolation(const Status& violation) {
   }
 }
 
-ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
-                                                        Status* error) {
+ReplicationSession::Attempt ReplicationSession::Violation(Status violation,
+                                                          Status* error) {
+  NoteViolation(violation);
+  *error = std::move(violation);
+  return Attempt::kViolation;
+}
+
+std::optional<Frame> ReplicationSession::Exchange(const Frame& request,
+                                                  Attempt* outcome,
+                                                  Status* error) {
   ++stats_.attempts;
-
-  // Resume point: re-read the mirror's position on EVERY attempt, so a
-  // partially applied history (or a snapshot that jumped us forward) is
-  // never replayed and a trim-during-retry degrades to the snapshot path.
-  const uint64_t from_seq = mirror_->state_vector().seq(shard);
-  // Fresh nonce per attempt: two byte-identical requests (same shard and
-  // position, e.g. across rounds) still get distinguishable responses.
-  const uint64_t nonce = ++last_nonce_;
-
-  const std::vector<uint8_t> request =
-      EncodeFrame(MakeCatchUpRequestFrame(shard, from_seq, nonce));
+  *outcome = Attempt::kRetryable;
   Result<std::vector<uint8_t>> raw =
-      transport_->Call(request, options_.request_timeout_ms);
+      transport_->Call(EncodeFrame(request), options_.request_timeout_ms);
   if (!raw.ok()) {
     if (raw.status().IsTimedOut()) {
       ++stats_.timeouts;
@@ -68,7 +68,7 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
       ++stats_.transport_errors;
     }
     *error = raw.status();
-    return Attempt::kRetryable;
+    return std::nullopt;
   }
 
   Result<Frame> decoded = DecodeFrame(*raw);
@@ -77,24 +77,23 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
     // Nothing was applied, so simply ask again.
     ++stats_.wire_corruptions;
     *error = decoded.status();
-    return Attempt::kRetryable;
+    return std::nullopt;
   }
-  const Frame& frame = *decoded;
 
-  if (frame.type == FrameType::kError) {
-    const Status server = ErrorFrameStatus(frame);
-    *error = server;
+  if (decoded->type == FrameType::kError) {
+    const Status server = ErrorFrameStatus(*decoded);
     // Corruption here means the SERVER could not decode what it received —
     // our request was mangled in flight; TimedOut/IoError are transient
     // server-side failures (failpoints model these). All retryable.
     if (server.IsCorruption() || server.IsTimedOut() || server.IsIoError()) {
       ++stats_.server_retryable;
-      return Attempt::kRetryable;
+      *error = server;
+      return std::nullopt;
     }
     // The server understood a well-formed request and refused it: that is
     // a protocol-level disagreement, not weather.
-    NoteViolation(server);
-    return Attempt::kViolation;
+    *outcome = Violation(server, error);
+    return std::nullopt;
   }
 
   // Stale-delivery screen: under reordering/duplication the transport may
@@ -102,44 +101,55 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
   // one that was byte-identical except for its nonce (an old empty delta
   // would otherwise be accepted as "caught up" while the head has moved
   // on), or a straggling registration Ack. The echoed nonce makes the
-  // screen exact — and it runs BEFORE the type check, so any frame that
-  // does not answer the request just sent (Acks and other nonce-less
-  // types can never match) is network weather, retried without ever
-  // counting against the peer.
-  if (frame.nonce != nonce) {
+  // screen exact — and it runs BEFORE the caller's type check, so any
+  // frame that does not answer the request just sent (Acks and other
+  // nonce-less types can never match) is network weather, retried without
+  // ever counting against the peer.
+  if (decoded->nonce != request.nonce) {
     ++stats_.stale_responses;
     *error = Status::IoError("stale response (reordered or duplicated)");
-    return Attempt::kRetryable;
+    return std::nullopt;
   }
+  return std::move(*decoded);
+}
+
+ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
+                                                        Status* error) {
+  // Resume point: re-read the mirror's position on EVERY attempt, so a
+  // partially applied history (or a snapshot that jumped us forward) is
+  // never replayed and a trim-during-retry degrades to the snapshot path.
+  const uint64_t from_seq = mirror_->state_vector().seq(shard);
+  Attempt outcome = Attempt::kRetryable;
+  // Fresh nonce per attempt: two byte-identical requests (same shard and
+  // position, e.g. across rounds) still get distinguishable responses.
+  std::optional<Frame> frame = Exchange(
+      MakeCatchUpRequestFrame(shard, from_seq, ++last_nonce_), &outcome,
+      error);
+  if (!frame) return outcome;
+
   // Our nonce with someone else's content: the server echoed the request
   // id but answered a different question — a protocol violation.
-  if ((frame.type != FrameType::kDelta &&
-       frame.type != FrameType::kSnapshot) ||
-      frame.shard != shard ||
-      (frame.type == FrameType::kDelta && frame.from_seq != from_seq) ||
-      (frame.type == FrameType::kSnapshot && frame.to_seq < from_seq)) {
-    *error = Status::Corruption(
-        std::string("response nonce matches but content does not (type ") +
-        FrameTypeName(frame.type) + ")");
-    NoteViolation(*error);
-    return Attempt::kViolation;
+  if ((frame->type != FrameType::kDelta &&
+       frame->type != FrameType::kSnapshot) ||
+      frame->shard != shard ||
+      (frame->type == FrameType::kDelta && frame->from_seq != from_seq) ||
+      (frame->type == FrameType::kSnapshot && frame->to_seq < from_seq)) {
+    return Violation(
+        Status::Corruption(
+            std::string("response nonce matches but content does not (type ") +
+            FrameTypeName(frame->type) + ")"),
+        error);
   }
 
-  Result<store::CatchUpResult> result = ToCatchUpResult(frame);
-  if (!result.ok()) {
-    *error = result.status();
-    NoteViolation(*error);
-    return Attempt::kViolation;
-  }
+  Result<store::CatchUpResult> result = ToCatchUpResult(std::move(*frame));
+  if (!result.ok()) return Violation(result.status(), error);
   const Status applied = mirror_->ApplyCatchUp(shard, *result);
   if (!applied.ok()) {
     // Checksummed, well-formed, addressed to us — and still semantically
     // wrong (sequence gap, unknown cookie, double apply). The mirror's
     // strict apply protocol is the last line of defense; repeated hits
     // poison the session.
-    *error = applied;
-    NoteViolation(applied);
-    return Attempt::kViolation;
+    return Violation(applied, error);
   }
 
   consecutive_violations_ = 0;
@@ -153,14 +163,32 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
   return Attempt::kApplied;
 }
 
-Status ReplicationSession::SyncShard(uint32_t shard) {
-  if (poisoned_) {
-    return Status::FailedPrecondition("session poisoned: " + poison_reason_);
+ReplicationSession::Attempt ReplicationSession::TryHeads(
+    std::vector<uint64_t>* heads, Status* error) {
+  Attempt outcome = Attempt::kRetryable;
+  std::optional<Frame> frame =
+      Exchange(MakeHeadsRequestFrame(++last_nonce_), &outcome, error);
+  if (!frame) return outcome;
+  if (frame->type != FrameType::kHeads ||
+      frame->seqs.size() != mirror_->num_shards()) {
+    return Violation(
+        Status::Corruption(
+            std::string("heads response nonce matches but content does not "
+                        "(type ") +
+            FrameTypeName(frame->type) + ", " +
+            std::to_string(frame->seqs.size()) + " heads for " +
+            std::to_string(mirror_->num_shards()) + " shards)"),
+        error);
   }
-  if (shard >= mirror_->num_shards()) {
-    return Status::InvalidArgument("shard out of range");
-  }
+  consecutive_violations_ = 0;
+  ++stats_.heads_fetched;
+  *heads = std::move(frame->seqs);
+  *error = Status::OK();
+  return Attempt::kApplied;
+}
 
+template <typename TryFn>
+Status ReplicationSession::WithRetries(const char* op, TryFn try_once) {
   Status last = Status::OK();
   for (uint32_t attempt = 1; attempt <= options_.max_attempts; ++attempt) {
     if (attempt > 1) {
@@ -169,20 +197,31 @@ Status ReplicationSession::SyncShard(uint32_t shard) {
       stats_.backoff_ms_total += backoff;
       clock_->SleepMs(backoff);
     }
-    const Attempt outcome = TryOnce(shard, &last);
+    const Attempt outcome = try_once(&last);
     if (outcome == Attempt::kApplied) {
-      AutoValidate("SyncShard");
+      AutoValidate(op);
       return Status::OK();
     }
     if (poisoned_) {
-      AutoValidate("SyncShard");
+      AutoValidate(op);
       return Status::FailedPrecondition("session poisoned: " + poison_reason_);
     }
   }
-  AutoValidate("SyncShard");
+  AutoValidate(op);
   return Status::TimedOut("retry budget exhausted after " +
                           std::to_string(options_.max_attempts) +
                           " attempts; last error: " + last.ToString());
+}
+
+Status ReplicationSession::SyncShard(uint32_t shard) {
+  if (poisoned_) {
+    return Status::FailedPrecondition("session poisoned: " + poison_reason_);
+  }
+  if (shard >= mirror_->num_shards()) {
+    return Status::InvalidArgument("shard out of range");
+  }
+  return WithRetries("SyncShard",
+                     [&](Status* error) { return TryOnce(shard, error); });
 }
 
 void ReplicationSession::RegisterPosition() {
@@ -203,7 +242,14 @@ Status ReplicationSession::SyncRound() {
     return Status::FailedPrecondition("session poisoned: " + poison_reason_);
   }
   ++stats_.rounds;
+  std::vector<uint64_t> heads;
+  LTREE_RETURN_IF_ERROR(WithRetries(
+      "SyncRound", [&](Status* error) { return TryHeads(&heads, error); }));
   for (uint32_t shard = 0; shard < mirror_->num_shards(); ++shard) {
+    // Unmoved shards cost nothing. A head behind the mirror is not
+    // "unmoved": SyncShard asks from the mirror's position, and the
+    // primary's refusal surfaces as a protocol violation there.
+    if (heads[shard] == mirror_->state_vector().seq(shard)) continue;
     LTREE_RETURN_IF_ERROR(SyncShard(shard));
   }
   if (options_.register_position) RegisterPosition();
@@ -235,11 +281,11 @@ audit::Report ReplicationSession::Validate() const {
 
   // Rule "session-accounting": every attempt landed in exactly one
   // outcome bucket.
-  const uint64_t outcomes = stats_.timeouts + stats_.transport_errors +
-                            stats_.wire_corruptions + stats_.stale_responses +
-                            stats_.server_retryable +
-                            stats_.protocol_violations +
-                            stats_.deltas_applied + stats_.snapshots_applied;
+  const uint64_t outcomes =
+      stats_.timeouts + stats_.transport_errors + stats_.wire_corruptions +
+      stats_.stale_responses + stats_.server_retryable +
+      stats_.protocol_violations + stats_.deltas_applied +
+      stats_.snapshots_applied + stats_.heads_fetched;
   if (outcomes != stats_.attempts) {
     report.Add("session:/", "session-accounting",
                "attempt outcomes sum to " + std::to_string(outcomes) +

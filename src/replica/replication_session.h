@@ -3,10 +3,31 @@
 //
 // PR 7 proved mirror convergence over in-process function calls; this
 // session proves it across a boundary that drops, duplicates, reorders,
-// truncates and bit-flips bytes. One SyncShard attempt is:
+// truncates and bit-flips bytes. A sync round is three steps:
+//
+//   1. heads:        one HeadsRequest(nonce) exchange; the Heads answer
+//                    carries every shard's feed head (the primary's
+//                    CurrentStateVector);
+//   2. moved shards: SyncShard for each shard whose head differs from the
+//                    mirror's position — shards that did not move cost no
+//                    exchange (a head BEHIND the mirror takes this path
+//                    too, and its catch-up request is refused, which the
+//                    per-shard path reports as a violation);
+//   3. registration: the mirror's position goes back to the primary.
+//
+// One SyncShard attempt is:
 //
 //   encode CatchUpRequest(shard, position) -> Transport::Call with a
 //   per-request timeout -> decode the response -> classify -> apply.
+//
+// A heads attempt shares the front half of that (call, decode, error
+// frames, stale-nonce screen) and then checks that the answer is a Heads
+// frame with one head per mirror shard. Its outcome classes are the
+// shard attempt's: retryable weather (timeout, transport error, decode
+// failure, a server error echoing a mangled request, a stale nonce) is
+// retried under the same backoff; a well-formed wrong answer (another
+// frame type, a wrong shard count, a refusing server error) is a protocol
+// violation; success lands in SessionStats::heads_fetched.
 //
 // Recovery semantics:
 //
@@ -23,21 +44,22 @@
 //     snapshot path automatically (the primary decides per request).
 //   * PROTOCOL VIOLATIONS — well-formed frames the protocol forbids: a
 //     delta that misaligns with the mirror position, double-applied
-//     cookies, unexpected frame types, or non-retryable server errors —
-//     also retry, but N consecutive violations poison the session: a
-//     peer that persistently talks wrong protocol is broken, not slow,
-//     and every later call fails FailedPrecondition until the operator
-//     replaces the session.
+//     cookies, unexpected frame types, heads for the wrong number of
+//     shards, or non-retryable server errors — also retry, but N
+//     consecutive violations poison the session: a peer that persistently
+//     talks wrong protocol is broken, not slow, and every later call
+//     fails FailedPrecondition until the operator replaces the session.
 //
 // Validate() audits the session's own invariants (rules "session-state",
 // "session-accounting", "session-progress"); under -DLISTLAB_VALIDATE=ON
-// they re-run after every SyncShard and abort on violation, matching the
-// store-layer auto-audit discipline.
+// they re-run after every SyncShard and heads fetch and abort on
+// violation, matching the store-layer auto-audit discipline.
 
 #ifndef LTREE_REPLICA_REPLICATION_SESSION_H_
 #define LTREE_REPLICA_REPLICATION_SESSION_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -74,8 +96,8 @@ struct SessionOptions {
   bool register_position = true;
 };
 
-/// Every attempt ends in exactly one of these buckets; the
-/// "session-accounting" audit rule enforces the partition.
+/// Every attempt — heads or shard — ends in exactly one of these buckets;
+/// the "session-accounting" audit rule enforces the partition.
 struct SessionStats {
   uint64_t rounds = 0;
   uint64_t attempts = 0;
@@ -87,6 +109,7 @@ struct SessionStats {
   uint64_t protocol_violations = 0;
   uint64_t deltas_applied = 0;
   uint64_t snapshots_applied = 0;
+  uint64_t heads_fetched = 0;      ///< heads attempts that succeeded
   uint64_t backoffs = 0;
   uint64_t backoff_ms_total = 0;   ///< as measured on the injected clock
   uint64_t registration_attempts = 0;
@@ -107,8 +130,10 @@ class ReplicationSession {
   /// FailedPrecondition once poisoned.
   Status SyncShard(uint32_t shard);
 
-  /// One full catch-up round: every shard, then (optionally) position
-  /// registration. Stops at the first shard that exhausts its budget.
+  /// One full catch-up round: the heads exchange, SyncShard for every
+  /// shard whose head differs from the mirror's position, then
+  /// (optionally) position registration. Stops at the first step that
+  /// exhausts its retry budget.
   Status SyncRound();
 
   bool poisoned() const { return poisoned_; }
@@ -130,7 +155,21 @@ class ReplicationSession {
   /// Outcome classification of one attempt (see SessionStats).
   enum class Attempt { kApplied, kRetryable, kViolation };
 
+  /// Runs `try_once` under the retry budget and backoff schedule;
+  /// `op` names the caller for the auto-audit.
+  template <typename TryFn>
+  Status WithRetries(const char* op, TryFn try_once);
+  /// The front half every attempt shares: counts the attempt, sends
+  /// `request` and screens the reply — transport failures, undecodable
+  /// bytes, error frames and stale nonces are classified and counted
+  /// here. Returns the reply only when it is a non-error frame echoing
+  /// `request.nonce`; otherwise sets *outcome and *error.
+  std::optional<Frame> Exchange(const Frame& request, Attempt* outcome,
+                                Status* error);
   Attempt TryOnce(uint32_t shard, Status* error);
+  Attempt TryHeads(std::vector<uint64_t>* heads, Status* error);
+  /// Records a protocol violation as the attempt's outcome.
+  Attempt Violation(Status violation, Status* error);
   void NoteViolation(const Status& violation);
   uint64_t NextBackoffMs(uint32_t attempt);
   void RegisterPosition();

@@ -33,12 +33,15 @@ std::vector<uint8_t> PrimaryEndpoint::Serve(
   }
   const Frame& frame = *decoded;
   switch (frame.type) {
+    case FrameType::kHeadsRequest:
+      return EncodeFrame(
+          MakeHeadsFrame(primary_->CurrentStateVector(), frame.nonce));
     case FrameType::kCatchUpRequest: {
-      const Result<store::CatchUpResult> result =
+      Result<store::CatchUpResult> result =
           primary_->CatchUp(frame.shard, frame.from_seq);
       if (!result.ok()) return EncodeFrame(MakeErrorFrame(result.status()));
-      return EncodeFrame(
-          MakeCatchUpResponseFrame(frame.shard, *result, frame.nonce));
+      return EncodeFrame(MakeCatchUpResponseFrame(
+          frame.shard, std::move(*result), frame.nonce));
     }
     case FrameType::kRegister: {
       if (registry_ == nullptr) {

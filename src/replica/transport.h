@@ -5,12 +5,12 @@
 // Transport interface. Two implementations live here:
 //
 //   * PrimaryEndpoint — the "server": decodes a request frame, serves it
-//     from a DocumentStore (CatchUp / RegisterSubscriber), and encodes
-//     the response frame. Malformed requests come back as kError
-//     (Corruption) frames; store-level errors cross the boundary as
-//     kError frames carrying the original status code. The
-//     "replica.serve" failpoint fires before any decoding so server-side
-//     outages are injectable.
+//     from a DocumentStore (CurrentStateVector for a heads request,
+//     CatchUp, RegisterSubscriber), and encodes the response frame.
+//     Malformed requests come back as kError (Corruption) frames;
+//     store-level errors cross the boundary as kError frames carrying the
+//     original status code. The "replica.serve" failpoint fires before any
+//     decoding so server-side outages are injectable.
 //
 //   * FaultyTransport — the hostile network between session and endpoint:
 //     an in-memory decorator with deterministic seeded fault injection.

@@ -1,6 +1,9 @@
 #include "replica/wire_format.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
+#include <utility>
 
 #include "common/macros.h"
 
@@ -9,29 +12,71 @@ namespace replica {
 
 namespace {
 
-// Generated once at first use from the reflected Castagnoli polynomial.
-const std::array<uint32_t, 256>& Crc32cTable() {
-  static const std::array<uint32_t, 256> table = [] {
-    std::array<uint32_t, 256> t{};
-    for (uint32_t i = 0; i < 256; ++i) {
-      uint32_t crc = i;
-      for (int bit = 0; bit < 8; ++bit) {
-        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
-      }
-      t[i] = crc;
+// Little-endian fixed-width integers: one unaligned load or store on a
+// little-endian host, a byte loop elsewhere.
+template <typename T>
+T LoadLe(const uint8_t* p) {
+  T v = 0;
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(&v, p, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      v |= static_cast<T>(p[i]) << (8 * i);
     }
-    return t;
-  }();
-  return table;
+  }
+  return v;
 }
+
+template <typename T>
+void StoreLe(uint8_t* p, T v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    std::memcpy(p, &v, sizeof(T));
+  } else {
+    for (size_t i = 0; i < sizeof(T); ++i) {
+      p[i] = static_cast<uint8_t>(v >> (8 * i));
+    }
+  }
+}
+
+// Slice-by-8 tables for the reflected Castagnoli polynomial. Table 0 is
+// the classic byte-at-a-time table; table k maps a byte to its CRC after
+// k further zero bytes, so one step folds eight input bytes with eight
+// independent lookups.
+using Crc32cTables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32cTables MakeCrc32cTables() {
+  Crc32cTables t{};
+  for (uint32_t i = 0; i < 256; ++i) {
+    uint32_t crc = i;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+    }
+    t[0][i] = crc;
+  }
+  for (size_t k = 1; k < t.size(); ++k) {
+    for (uint32_t i = 0; i < 256; ++i) {
+      t[k][i] = (t[k - 1][i] >> 8) ^ t[0][t[k - 1][i] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32cTables kCrc32cTables = MakeCrc32cTables();
 
 }  // namespace
 
 uint32_t Crc32c(const uint8_t* data, size_t size) {
-  const auto& table = Crc32cTable();
+  const Crc32cTables& t = kCrc32cTables;
   uint32_t crc = 0xFFFFFFFFu;
-  for (size_t i = 0; i < size; ++i) {
-    crc = (crc >> 8) ^ table[(crc ^ data[i]) & 0xFFu];
+  for (; size >= 8; data += 8, size -= 8) {
+    const uint32_t lo = crc ^ LoadLe<uint32_t>(data);
+    const uint32_t hi = LoadLe<uint32_t>(data + 4);
+    crc = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+          t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+          t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+  }
+  for (; size > 0; ++data, --size) {
+    crc = (crc >> 8) ^ t[0][(crc ^ *data) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -50,6 +95,10 @@ const char* FrameTypeName(FrameType type) {
       return "error";
     case FrameType::kAck:
       return "ack";
+    case FrameType::kHeadsRequest:
+      return "heads-request";
+    case FrameType::kHeads:
+      return "heads";
   }
   return "unknown";
 }
@@ -58,19 +107,31 @@ namespace {
 
 // ----------------------------------------------------------- byte writer
 
-void PutU8(std::vector<uint8_t>* out, uint8_t v) { out->push_back(v); }
+/// Cursor over a buffer that EncodeFrame sized exactly beforehand, so no
+/// write checks or grows anything.
+class ByteWriter {
+ public:
+  explicit ByteWriter(uint8_t* out) : out_(out) {}
 
-void PutU32(std::vector<uint8_t>* out, uint32_t v) {
-  for (int i = 0; i < 4; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
-  }
-}
+  const uint8_t* pos() const { return out_; }
 
-void PutU64(std::vector<uint8_t>* out, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    out->push_back(static_cast<uint8_t>(v >> (8 * i)));
+  void PutU8(uint8_t v) { *out_++ = v; }
+  void PutU32(uint32_t v) {
+    StoreLe(out_, v);
+    out_ += 4;
   }
-}
+  void PutU64(uint64_t v) {
+    StoreLe(out_, v);
+    out_ += 8;
+  }
+  void PutBytes(const std::string& bytes) {
+    std::memcpy(out_, bytes.data(), bytes.size());
+    out_ += bytes.size();
+  }
+
+ private:
+  uint8_t* out_;
+};
 
 // ----------------------------------------------------------- byte reader
 
@@ -92,19 +153,15 @@ class ByteReader {
 
   bool ReadU32(uint32_t* v) {
     if (remaining() < 4) return false;
-    *v = 0;
-    for (int i = 0; i < 4; ++i) {
-      *v |= static_cast<uint32_t>(data_[pos_++]) << (8 * i);
-    }
+    *v = LoadLe<uint32_t>(data_ + pos_);
+    pos_ += 4;
     return true;
   }
 
   bool ReadU64(uint64_t* v) {
     if (remaining() < 8) return false;
-    *v = 0;
-    for (int i = 0; i < 8; ++i) {
-      *v |= static_cast<uint64_t>(data_[pos_++]) << (8 * i);
-    }
+    *v = LoadLe<uint64_t>(data_ + pos_);
+    pos_ += 8;
     return true;
   }
 
@@ -131,53 +188,107 @@ constexpr size_t kEventBytes = 8 + 1 + 8 + 8 + 8;
 // Per-entry wire size for kSnapshot: label u64, cookie u64.
 constexpr size_t kSnapshotEntryBytes = 8 + 8;
 
-void EncodePayload(const Frame& frame, std::vector<uint8_t>* out) {
+/// Exact payload size of `frame`; EncodePayload writes exactly this many
+/// bytes.
+size_t PayloadBytes(const Frame& frame) {
   switch (frame.type) {
     case FrameType::kCatchUpRequest:
-      PutU32(out, frame.shard);
-      PutU64(out, frame.nonce);
-      PutU64(out, frame.from_seq);
+      return 4 + 8 + 8;
+    case FrameType::kDelta:
+      return 4 + 8 + 8 + 8 + 4 + frame.events.size() * kEventBytes;
+    case FrameType::kSnapshot:
+      return 4 + 8 + 8 + 4 + frame.state.size() * kSnapshotEntryBytes;
+    case FrameType::kRegister:
+    case FrameType::kHeads:  // subscriber or nonce, then the seqs
+      return 8 + 4 + frame.seqs.size() * 8;
+    case FrameType::kError:
+      return 4 + 4 + frame.error_message.size();
+    case FrameType::kAck:
+      return 0;
+    case FrameType::kHeadsRequest:
+      return 8;
+  }
+  LTREE_CHECK(false);  // unreachable: builders only produce valid types
+  return 0;
+}
+
+void PutSeqs(const std::vector<uint64_t>& seqs, ByteWriter* out) {
+  out->PutU32(static_cast<uint32_t>(seqs.size()));
+  for (const uint64_t seq : seqs) out->PutU64(seq);
+}
+
+void EncodePayload(const Frame& frame, ByteWriter* out) {
+  switch (frame.type) {
+    case FrameType::kCatchUpRequest:
+      out->PutU32(frame.shard);
+      out->PutU64(frame.nonce);
+      out->PutU64(frame.from_seq);
       return;
     case FrameType::kDelta:
-      PutU32(out, frame.shard);
-      PutU64(out, frame.nonce);
-      PutU64(out, frame.from_seq);
-      PutU64(out, frame.to_seq);
-      PutU32(out, static_cast<uint32_t>(frame.events.size()));
+      out->PutU32(frame.shard);
+      out->PutU64(frame.nonce);
+      out->PutU64(frame.from_seq);
+      out->PutU64(frame.to_seq);
+      out->PutU32(static_cast<uint32_t>(frame.events.size()));
       for (const store::FeedEvent& event : frame.events) {
-        PutU64(out, event.seq);
-        PutU8(out, static_cast<uint8_t>(event.kind));
-        PutU64(out, event.cookie);
-        PutU64(out, event.old_label);
-        PutU64(out, event.new_label);
+        out->PutU64(event.seq);
+        out->PutU8(static_cast<uint8_t>(event.kind));
+        out->PutU64(event.cookie);
+        out->PutU64(event.old_label);
+        out->PutU64(event.new_label);
       }
       return;
     case FrameType::kSnapshot:
-      PutU32(out, frame.shard);
-      PutU64(out, frame.nonce);
-      PutU64(out, frame.to_seq);
-      PutU32(out, static_cast<uint32_t>(frame.state.size()));
+      out->PutU32(frame.shard);
+      out->PutU64(frame.nonce);
+      out->PutU64(frame.to_seq);
+      out->PutU32(static_cast<uint32_t>(frame.state.size()));
       for (const auto& [label, cookie] : frame.state) {
-        PutU64(out, label);
-        PutU64(out, cookie);
+        out->PutU64(label);
+        out->PutU64(cookie);
       }
       return;
     case FrameType::kRegister:
-      PutU64(out, frame.subscriber);
-      PutU32(out, static_cast<uint32_t>(frame.seqs.size()));
-      for (const uint64_t seq : frame.seqs) PutU64(out, seq);
+      out->PutU64(frame.subscriber);
+      PutSeqs(frame.seqs, out);
       return;
     case FrameType::kError:
-      PutU32(out, static_cast<uint32_t>(frame.error_code));
-      PutU32(out, static_cast<uint32_t>(frame.error_message.size()));
-      for (const char c : frame.error_message) {
-        PutU8(out, static_cast<uint8_t>(c));
-      }
+      out->PutU32(static_cast<uint32_t>(frame.error_code));
+      out->PutU32(static_cast<uint32_t>(frame.error_message.size()));
+      out->PutBytes(frame.error_message);
       return;
     case FrameType::kAck:
       return;
+    case FrameType::kHeadsRequest:
+      out->PutU64(frame.nonce);
+      return;
+    case FrameType::kHeads:
+      out->PutU64(frame.nonce);
+      PutSeqs(frame.seqs, out);
+      return;
   }
   LTREE_CHECK(false);  // unreachable: builders only produce valid types
+}
+
+/// A u32 count, then that many u64 sequence numbers (kRegister, kHeads).
+Status ReadSeqs(ByteReader* in, std::vector<uint64_t>* seqs,
+                const char* what) {
+  uint32_t count = 0;
+  if (!in->ReadU32(&count)) {
+    return Corrupt(std::string("truncated ") + what + " header");
+  }
+  // A forged count must not drive the reserve past the bytes that
+  // actually arrived.
+  if (count > in->remaining() / 8) {
+    return Corrupt(std::string(what) + " shard count exceeds payload");
+  }
+  seqs->resize(count);
+  for (uint64_t& seq : *seqs) {
+    if (!in->ReadU64(&seq)) {
+      return Corrupt(std::string("truncated ") + what + " seq");
+    }
+  }
+  return Status::OK();
 }
 
 Status DecodePayload(FrameType type, ByteReader* in, Frame* out) {
@@ -239,20 +350,10 @@ Status DecodePayload(FrameType type, ByteReader* in, Frame* out) {
       return Status::OK();
     }
     case FrameType::kRegister: {
-      uint32_t count = 0;
-      if (!in->ReadU64(&out->subscriber) || !in->ReadU32(&count)) {
+      if (!in->ReadU64(&out->subscriber)) {
         return Corrupt("truncated register header");
       }
-      if (count > in->remaining() / 8) {
-        return Corrupt("register shard count exceeds payload");
-      }
-      out->seqs.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        uint64_t seq = 0;
-        if (!in->ReadU64(&seq)) return Corrupt("truncated register seq");
-        out->seqs.push_back(seq);
-      }
-      return Status::OK();
+      return ReadSeqs(in, &out->seqs, "register");
     }
     case FrameType::kError: {
       uint32_t code = 0;
@@ -272,6 +373,16 @@ Status DecodePayload(FrameType type, ByteReader* in, Frame* out) {
     }
     case FrameType::kAck:
       return Status::OK();
+    case FrameType::kHeadsRequest: {
+      if (!in->ReadU64(&out->nonce)) {
+        return Corrupt("truncated heads-request payload");
+      }
+      return Status::OK();
+    }
+    case FrameType::kHeads: {
+      if (!in->ReadU64(&out->nonce)) return Corrupt("truncated heads header");
+      return ReadSeqs(in, &out->seqs, "heads");
+    }
   }
   return Corrupt("unknown frame type");
 }
@@ -290,8 +401,7 @@ Frame MakeCatchUpRequestFrame(uint32_t shard, uint64_t from_seq,
   return frame;
 }
 
-Frame MakeCatchUpResponseFrame(uint32_t shard,
-                               const store::CatchUpResult& result,
+Frame MakeCatchUpResponseFrame(uint32_t shard, store::CatchUpResult result,
                                uint64_t nonce) {
   Frame frame;
   frame.shard = shard;
@@ -299,23 +409,45 @@ Frame MakeCatchUpResponseFrame(uint32_t shard,
   frame.to_seq = result.to_seq;
   if (result.snapshot) {
     frame.type = FrameType::kSnapshot;
-    frame.state = result.state;
+    frame.state = std::move(result.state);
   } else {
     frame.type = FrameType::kDelta;
     frame.from_seq = result.from_seq;
-    frame.events = result.events;
+    frame.events = std::move(result.events);
   }
   return frame;
 }
+
+namespace {
+
+std::vector<uint64_t> SeqsOf(const store::StateVector& sv) {
+  std::vector<uint64_t> seqs(sv.num_shards());
+  for (uint32_t i = 0; i < sv.num_shards(); ++i) seqs[i] = sv.seq(i);
+  return seqs;
+}
+
+}  // namespace
 
 Frame MakeRegisterFrame(uint64_t subscriber, const store::StateVector& sv) {
   Frame frame;
   frame.type = FrameType::kRegister;
   frame.subscriber = subscriber;
-  frame.seqs.reserve(sv.num_shards());
-  for (uint32_t i = 0; i < sv.num_shards(); ++i) {
-    frame.seqs.push_back(sv.seq(i));
-  }
+  frame.seqs = SeqsOf(sv);
+  return frame;
+}
+
+Frame MakeHeadsRequestFrame(uint64_t nonce) {
+  Frame frame;
+  frame.type = FrameType::kHeadsRequest;
+  frame.nonce = nonce;
+  return frame;
+}
+
+Frame MakeHeadsFrame(const store::StateVector& heads, uint64_t nonce) {
+  Frame frame;
+  frame.type = FrameType::kHeads;
+  frame.nonce = nonce;
+  frame.seqs = SeqsOf(heads);
   return frame;
 }
 
@@ -333,19 +465,18 @@ Frame MakeAckFrame() { return Frame{}; }
 // --------------------------------------------------------- frame <-> bytes
 
 std::vector<uint8_t> EncodeFrame(const Frame& frame) {
-  std::vector<uint8_t> out;
-  out.push_back(kWireMagic0);
-  out.push_back(kWireMagic1);
-  out.push_back(kWireVersion);
-  out.push_back(static_cast<uint8_t>(frame.type));
-  PutU32(&out, 0);  // payload length backpatched below
-  EncodePayload(frame, &out);
-  const uint32_t payload_len =
-      static_cast<uint32_t>(out.size() - kFrameHeaderBytes);
-  for (int i = 0; i < 4; ++i) {
-    out[4 + i] = static_cast<uint8_t>(payload_len >> (8 * i));
-  }
-  PutU32(&out, Crc32c(out.data(), out.size()));
+  const size_t payload_len = PayloadBytes(frame);
+  const size_t checked = kFrameHeaderBytes + payload_len;
+  std::vector<uint8_t> out(checked + kFrameTrailerBytes);
+  ByteWriter writer(out.data());
+  writer.PutU8(kWireMagic0);
+  writer.PutU8(kWireMagic1);
+  writer.PutU8(kWireVersion);
+  writer.PutU8(static_cast<uint8_t>(frame.type));
+  writer.PutU32(static_cast<uint32_t>(payload_len));
+  EncodePayload(frame, &writer);
+  LTREE_CHECK(writer.pos() == out.data() + checked);
+  writer.PutU32(Crc32c(out.data(), checked));
   return out;
 }
 
@@ -361,13 +492,10 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t size) {
   }
   const uint8_t raw_type = data[3];
   if (raw_type < static_cast<uint8_t>(FrameType::kCatchUpRequest) ||
-      raw_type > static_cast<uint8_t>(FrameType::kAck)) {
+      raw_type > static_cast<uint8_t>(FrameType::kHeads)) {
     return Corrupt("unknown frame type " + std::to_string(raw_type));
   }
-  uint32_t payload_len = 0;
-  for (int i = 0; i < 4; ++i) {
-    payload_len |= static_cast<uint32_t>(data[4 + i]) << (8 * i);
-  }
+  const uint32_t payload_len = LoadLe<uint32_t>(data + 4);
   if (payload_len > kMaxPayloadBytes) {
     return Corrupt("payload length " + std::to_string(payload_len) +
                    " exceeds limit");
@@ -376,11 +504,7 @@ Result<Frame> DecodeFrame(const uint8_t* data, size_t size) {
     return Corrupt("length prefix disagrees with buffer size");
   }
   const size_t checked = kFrameHeaderBytes + payload_len;
-  uint32_t stored_crc = 0;
-  for (int i = 0; i < 4; ++i) {
-    stored_crc |= static_cast<uint32_t>(data[checked + i]) << (8 * i);
-  }
-  if (Crc32c(data, checked) != stored_crc) {
+  if (Crc32c(data, checked) != LoadLe<uint32_t>(data + checked)) {
     return Corrupt("CRC32C mismatch");
   }
   Frame frame;
@@ -399,20 +523,20 @@ Result<Frame> DecodeFrame(const std::vector<uint8_t>& bytes) {
 
 // --------------------------------------------------------- frame -> model
 
-Result<store::CatchUpResult> ToCatchUpResult(const Frame& frame) {
+Result<store::CatchUpResult> ToCatchUpResult(Frame frame) {
   store::CatchUpResult out;
   switch (frame.type) {
     case FrameType::kDelta:
       out.snapshot = false;
       out.from_seq = frame.from_seq;
       out.to_seq = frame.to_seq;
-      out.events = frame.events;
+      out.events = std::move(frame.events);
       return out;
     case FrameType::kSnapshot:
       out.snapshot = true;
       out.from_seq = 0;
       out.to_seq = frame.to_seq;
-      out.state = frame.state;
+      out.state = std::move(frame.state);
       return out;
     default:
       return Status::InvalidArgument(

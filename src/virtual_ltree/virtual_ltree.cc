@@ -610,24 +610,26 @@ audit::Report VirtualLTree::Validate() const {
                            static_cast<unsigned long long>(
                                powers_.LeafBudget(frame.height))));
     }
-    // Occupied child digits must form a consecutive prefix 0..c-1.
+    // Occupied child digits must form a consecutive prefix 0..c-1. Walk
+    // only the occupied ones: each LowerBound lands on the first label of
+    // the next occupied child, so a node costs O(children * log n), not
+    // f + 1 range counts.
     const uint64_t child_width = powers_.PowF1(frame.height - 1);
+    uint64_t expected = 0;  // the digit a gap-free prefix occupies next
     bool gap_seen = false;
-    for (uint64_t g = 0; g <= params_.f; ++g) {
-      const Label child_base = frame.base + g * child_width;
-      const uint64_t child_count =
-          btree_.RangeCount(child_base, child_base + child_width);
-      if (child_count == 0) {
-        gap_seen = true;
-        continue;
-      }
+    for (auto next = btree_.LowerBound(frame.base);
+         next.ok() && next->key < frame.base + width;
+         next = btree_.LowerBound(frame.base + expected * child_width)) {
+      const uint64_t g = (next->key - frame.base) / child_width;
+      gap_seen = gap_seen || g != expected;
       if (gap_seen) {
         report.Add(path, "child-gap",
                    StrFormat("occupied child digit %llu follows an empty "
                              "one",
                              static_cast<unsigned long long>(g)));
       }
-      stack.push_back({child_base, frame.height - 1});
+      stack.push_back({frame.base + g * child_width, frame.height - 1});
+      expected = g + 1;
     }
   }
   return report;

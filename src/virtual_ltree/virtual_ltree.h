@@ -209,6 +209,8 @@ class VirtualLTree {
   static LeafCookie UnpackCookie(uint64_t value) { return value >> 1; }
   static bool UnpackDeleted(uint64_t value) { return (value & 1u) != 0; }
 
+  friend class VirtualLTreeTestPeer;  // seeds corruptions in negative tests
+
   Params params_;
   PowerTable powers_;
   obtree::CountedBTree btree_;

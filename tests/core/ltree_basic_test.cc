@@ -288,7 +288,9 @@ TEST(LTreeFindLeafByLabelTest, UnassignedLabelsResolveToNull) {
         std::find(assigned.begin(), assigned.end(), probe) != assigned.end();
     const LTree::LeafHandle got = tree->FindLeafByLabel(probe);
     EXPECT_EQ(got != nullptr, taken) << "label " << probe;
-    if (got != nullptr) EXPECT_EQ(tree->label(got), probe);
+    if (got != nullptr) {
+      EXPECT_EQ(tree->label(got), probe);
+    }
   }
 }
 

@@ -164,10 +164,14 @@ INSTANTIATE_TEST_SUITE_P(
                       PropertyCase{32, 2, 500, false},
                       PropertyCase{64, 8, 37, false}),
     [](const auto& info) {
-      return "f" + std::to_string(info.param.f) + "s" +
-             std::to_string(info.param.s) + "n" +
-             std::to_string(info.param.initial) +
-             (info.param.purge ? "purge" : "");
+      std::string name = "f";
+      name += std::to_string(info.param.f);
+      name += 's';
+      name += std::to_string(info.param.s);
+      name += 'n';
+      name += std::to_string(info.param.initial);
+      if (info.param.purge) name += "purge";
+      return name;
     });
 
 }  // namespace

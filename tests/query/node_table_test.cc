@@ -38,7 +38,7 @@ NodeRow Row(xml::NodeId id, const char* tag, Label start, Label end,
             int32_t level = 0, xml::NodeId parent = 0) {
   NodeRow r;
   r.id = id;
-  r.tag = tag;
+  r.tag.append(tag);
   r.region = {start, end};
   r.level = level;
   r.parent_id = parent;

@@ -10,7 +10,7 @@ NodeRow Row(xml::NodeId id, Label start, Label end, int32_t level,
             const char* tag = "t") {
   NodeRow r;
   r.id = id;
-  r.tag = tag;
+  r.tag.append(tag);
   r.region = {start, end};
   r.level = level;
   return r;

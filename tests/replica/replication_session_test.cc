@@ -1,4 +1,5 @@
-// ReplicationSession tests: clean sync, retry/backoff schedule on the
+// ReplicationSession tests: clean sync, the exchanges a round makes (heads
+// first, then only the shards that moved), retry/backoff schedule on the
 // fake clock, resume-from-StateVector across retries, snapshot
 // degradation after a mid-retry trim, stale-response screening, the
 // poisoned terminal state, registration, and the session audit rules.
@@ -9,6 +10,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -18,6 +20,7 @@
 #include "replica/wire_format.h"
 #include "store/document_store.h"
 #include "store/mirror_store.h"
+#include "store/state_vector.h"
 
 namespace ltree {
 namespace replica {
@@ -55,6 +58,15 @@ class SessionTest : public ::testing::Test {
     return options;
   }
 
+  /// Shards whose feed head is past 0 — the ones a first round contacts.
+  uint64_t WrittenShards() const {
+    uint64_t written = 0;
+    for (uint32_t shard = 0; shard < primary_->num_shards(); ++shard) {
+      if (primary_->feed(shard).last_seq() != 0) ++written;
+    }
+    return written;
+  }
+
   std::unique_ptr<store::DocumentStore> primary_;
   std::unique_ptr<PrimaryEndpoint> endpoint_;
   std::unique_ptr<store::MirrorStore> mirror_;
@@ -66,11 +78,52 @@ TEST_F(SessionTest, CleanRoundConverges) {
                              DefaultOptions());
   ASSERT_TRUE(session.SyncRound().ok());
   EXPECT_TRUE(mirror_->CheckEquivalent(*primary_).ok());
-  EXPECT_EQ(session.stats().attempts, primary_->num_shards());
+  // One heads exchange, one per written shard (a shard holding no
+  // document is never contacted), one registration.
+  const uint64_t written = WrittenShards();
+  EXPECT_EQ(session.stats().attempts, written + 1);
+  EXPECT_EQ(session.stats().heads_fetched, 1u);
+  EXPECT_EQ(endpoint_->requests_served(), written + 2);
   EXPECT_EQ(session.stats().backoffs, 0u);
-  EXPECT_EQ(session.stats().deltas_applied, primary_->num_shards());
+  EXPECT_EQ(session.stats().deltas_applied, written);
   EXPECT_EQ(session.stats().registrations, 1u);
   EXPECT_EQ(primary_->num_subscribers(), 1u);
+  EXPECT_TRUE(session.Validate().ok()) << session.Validate().ToString();
+}
+
+TEST_F(SessionTest, RoundAfterOneEditContactsOnlyThatShard) {
+  ReplicationSession session(mirror_.get(), endpoint_.get(), &clock_,
+                             DefaultOptions());
+  ASSERT_TRUE(session.SyncRound().ok());
+  const uint64_t served = endpoint_->requests_served();
+  const SessionStats before = session.stats();
+
+  ASSERT_TRUE(primary_->Append(2).ok());
+  ASSERT_TRUE(session.SyncRound().ok());
+  EXPECT_TRUE(mirror_->CheckEquivalent(*primary_).ok());
+  // Heads, document 2's shard, registration.
+  EXPECT_EQ(endpoint_->requests_served() - served, 3u);
+  EXPECT_EQ(session.stats().attempts - before.attempts, 2u);
+  EXPECT_EQ(session.stats().heads_fetched - before.heads_fetched, 1u);
+  EXPECT_EQ(session.stats().deltas_applied - before.deltas_applied, 1u);
+  EXPECT_TRUE(session.Validate().ok()) << session.Validate().ToString();
+}
+
+TEST_F(SessionTest, IdleRoundExchangesOnlyHeadsAndRegistration) {
+  ReplicationSession session(mirror_.get(), endpoint_.get(), &clock_,
+                             DefaultOptions());
+  ASSERT_TRUE(session.SyncRound().ok());
+  const uint64_t served = endpoint_->requests_served();
+  const SessionStats before = session.stats();
+  const uint64_t events = mirror_->events_applied();
+
+  ASSERT_TRUE(session.SyncRound().ok());
+  EXPECT_EQ(endpoint_->requests_served() - served, 2u);
+  EXPECT_EQ(session.stats().attempts - before.attempts, 1u);
+  EXPECT_EQ(session.stats().deltas_applied, before.deltas_applied);
+  EXPECT_EQ(session.stats().snapshots_applied, before.snapshots_applied);
+  EXPECT_EQ(mirror_->events_applied(), events);
+  EXPECT_EQ(session.stats().registrations - before.registrations, 1u);
   EXPECT_TRUE(session.Validate().ok()) << session.Validate().ToString();
 }
 
@@ -216,6 +269,53 @@ TEST_F(SessionTest, PersistentProtocolViolationsPoisonTheSession) {
   EXPECT_TRUE(session.SyncRound().IsFailedPrecondition());
   EXPECT_EQ(session.stats().attempts, attempts);
   EXPECT_TRUE(session.Validate().ok()) << session.Validate().ToString();
+}
+
+TEST_F(SessionTest, HeadsForTheWrongShardCountPoisonTheSession) {
+  // Well-formed heads with the request's nonce echoed, but one head too
+  // many: a peer serving some other store layout.
+  Frame bad;
+  bad.type = FrameType::kHeads;
+  bad.seqs.assign(primary_->num_shards() + 1, 5);
+  CannedTransport transport(bad);
+  ReplicationSession session(mirror_.get(), &transport, &clock_,
+                             DefaultOptions());
+
+  const Status st = session.SyncRound();
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_TRUE(session.poisoned());
+  EXPECT_EQ(session.stats().protocol_violations, 3u);
+  EXPECT_EQ(session.stats().attempts, 3u);
+  EXPECT_EQ(session.stats().heads_fetched, 0u);
+  EXPECT_EQ(session.stats().registration_attempts, 0u);
+  // Nothing reached the mirror.
+  EXPECT_EQ(mirror_->state_vector(),
+            store::StateVector(primary_->num_shards()));
+  EXPECT_EQ(mirror_->events_applied(), 0u);
+  EXPECT_TRUE(session.Validate().ok()) << session.Validate().ToString();
+}
+
+TEST_F(SessionTest, MirrorAheadOfItsShardIsStillContacted) {
+  ReplicationSession session(mirror_.get(), endpoint_.get(), &clock_,
+                             DefaultOptions());
+  ASSERT_TRUE(session.SyncRound().ok());
+  const uint32_t shard = primary_->ShardOf(1);
+  const uint64_t head = primary_->feed(shard).last_seq();
+  ASSERT_GT(head, 0u);
+  mirror_->ForcePosition(shard, head + 5);
+  const uint64_t served = endpoint_->requests_served();
+
+  // The heads disagree with the mirror, so the shard is asked — from a
+  // position past its head, which the primary refuses every time.
+  const Status st = session.SyncRound();
+  EXPECT_TRUE(st.IsFailedPrecondition()) << st.ToString();
+  EXPECT_TRUE(session.poisoned());
+  EXPECT_EQ(session.stats().protocol_violations, 3u);
+  EXPECT_NE(session.poison_reason().find("beyond shard feed head"),
+            std::string::npos)
+      << session.poison_reason();
+  // Heads, then three refused catch-up requests for that shard only.
+  EXPECT_EQ(endpoint_->requests_served() - served, 4u);
 }
 
 TEST_F(SessionTest, SuccessResetsTheViolationStreak) {

@@ -1,8 +1,9 @@
 // Wire protocol tests: golden byte layout (pinned against an independent
-// CRC32C implementation), encode/decode round trips for every frame type
-// across all six labeling schemes, and total-decode guarantees — every
-// malformed input comes back as Status::Corruption, never as a frame and
-// never as undefined behavior.
+// CRC32C implementation, which also cross-checks the slice-by-8 loop),
+// encode/decode round trips for every frame type across all six labeling
+// schemes, and total-decode guarantees — every malformed input comes back
+// as Status::Corruption, never as a frame and never as undefined
+// behavior.
 
 #include "replica/wire_format.h"
 
@@ -60,9 +61,67 @@ TEST(WireFormatGoldenTest, AckLayout) {
   EXPECT_EQ(EncodeFrame(MakeAckFrame()), expected);
 }
 
+TEST(WireFormatGoldenTest, HeadsRequestLayout) {
+  const std::vector<uint8_t> expected = {
+      0x4C, 0x52, 0x01, 0x07,              // magic, version, type = 7
+      0x08, 0x00, 0x00, 0x00,              // payload length = 8
+      0x08, 0x09, 0x0A, 0x0B,              // nonce low half
+      0x0C, 0x0D, 0x0E, 0x0F,              // nonce high half
+      0x29, 0x40, 0x95, 0x57,              // CRC32C(frame[0..16))
+  };
+  EXPECT_EQ(EncodeFrame(MakeHeadsRequestFrame(0x0F0E0D0C0B0A0908ull)),
+            expected);
+}
+
+TEST(WireFormatGoldenTest, HeadsLayout) {
+  store::StateVector heads(2);
+  heads.Set(0, 3);
+  heads.Set(1, 0x0102030405060708ull);
+  const std::vector<uint8_t> expected = {
+      0x4C, 0x52, 0x01, 0x08,              // magic, version, type = 8
+      0x1C, 0x00, 0x00, 0x00,              // payload length = 28
+      0x88, 0x77, 0x66, 0x55,              // nonce low half
+      0x44, 0x33, 0x22, 0x11,              // nonce high half
+      0x02, 0x00, 0x00, 0x00,              // head count = 2
+      0x03, 0x00, 0x00, 0x00,              // shard 0 head low half
+      0x00, 0x00, 0x00, 0x00,              // shard 0 head high half
+      0x08, 0x07, 0x06, 0x05,              // shard 1 head low half
+      0x04, 0x03, 0x02, 0x01,              // shard 1 head high half
+      0x6B, 0x3D, 0x6B, 0x03,              // CRC32C(frame[0..36))
+  };
+  EXPECT_EQ(EncodeFrame(MakeHeadsFrame(heads, 0x1122334455667788ull)),
+            expected);
+}
+
 TEST(WireFormatGoldenTest, Crc32cStandardVector) {
   const char* check = "123456789";
   EXPECT_EQ(Crc32c(reinterpret_cast<const uint8_t*>(check), 9), 0xE3069283u);
+}
+
+// The slice-by-8 loop folds eight bytes per step and finishes with a
+// byte-at-a-time tail; every length 0..256 at every start offset 0..7
+// crosses both against the plain bitwise definition.
+TEST(WireFormatGoldenTest, Crc32cMatchesBitwiseReference) {
+  auto bitwise = [](const uint8_t* data, size_t size) {
+    uint32_t crc = 0xFFFFFFFFu;
+    for (size_t i = 0; i < size; ++i) {
+      crc ^= data[i];
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1) ? 0x82F63B78u : 0u);
+      }
+    }
+    return crc ^ 0xFFFFFFFFu;
+  };
+  Rng rng(99);
+  std::vector<uint8_t> buffer(8 + 256);
+  for (uint8_t& b : buffer) b = static_cast<uint8_t>(rng.Next64());
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t size = 0; size <= 256; ++size) {
+      ASSERT_EQ(Crc32c(buffer.data() + offset, size),
+                bitwise(buffer.data() + offset, size))
+          << "offset " << offset << ", size " << size;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -136,6 +195,31 @@ TEST(WireFormatRoundTripTest, RegisterCarriesStateVector) {
   EXPECT_EQ(out->type, FrameType::kRegister);
   EXPECT_EQ(out->subscriber, 0xABCDEFu);
   EXPECT_EQ(out->seqs, (std::vector<uint64_t>{17, 0, 5, 0}));
+}
+
+TEST(WireFormatRoundTripTest, HeadsRequest) {
+  const Result<Frame> out =
+      DecodeFrame(EncodeFrame(MakeHeadsRequestFrame(/*nonce=*/0xFEED)));
+  ASSERT_TRUE(out.ok()) << out.status().ToString();
+  EXPECT_EQ(out->type, FrameType::kHeadsRequest);
+  EXPECT_EQ(out->nonce, 0xFEEDu);
+}
+
+TEST(WireFormatRoundTripTest, HeadsCarryOneHeadPerShard) {
+  for (const uint32_t shards : {0u, 1u, 16u}) {
+    SCOPED_TRACE(shards);
+    store::StateVector heads(shards);
+    for (uint32_t i = 0; i < shards; ++i) heads.Set(i, 1000 * i + 7);
+    const Result<Frame> out =
+        DecodeFrame(EncodeFrame(MakeHeadsFrame(heads, /*nonce=*/shards + 1)));
+    ASSERT_TRUE(out.ok()) << out.status().ToString();
+    EXPECT_EQ(out->type, FrameType::kHeads);
+    EXPECT_EQ(out->nonce, shards + 1);
+    ASSERT_EQ(out->seqs.size(), shards);
+    for (uint32_t i = 0; i < shards; ++i) {
+      EXPECT_EQ(out->seqs[i], heads.seq(i)) << i;
+    }
+  }
 }
 
 TEST(WireFormatRoundTripTest, ErrorCarriesStatus) {
@@ -248,24 +332,38 @@ std::vector<uint8_t> ValidDeltaBytes() {
   return EncodeFrame(frame);
 }
 
+/// The frames the corruption sweeps run over: a two-event delta and both
+/// heads frames.
+std::vector<std::vector<uint8_t>> SweptFrames() {
+  store::StateVector heads(3);
+  heads.Set(0, 17);
+  heads.Set(2, 4);
+  return {ValidDeltaBytes(), EncodeFrame(MakeHeadsRequestFrame(41)),
+          EncodeFrame(MakeHeadsFrame(heads, 41))};
+}
+
 TEST(WireFormatCorruptionTest, EveryPossibleSingleBitFlipIsRejected) {
-  const std::vector<uint8_t> good = ValidDeltaBytes();
-  ASSERT_TRUE(DecodeFrame(good).ok());
-  for (size_t bit = 0; bit < good.size() * 8; ++bit) {
-    std::vector<uint8_t> bad = good;
-    bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-    const Result<Frame> out = DecodeFrame(bad);
-    ASSERT_FALSE(out.ok()) << "bit " << bit << " flip was accepted";
-    EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+  for (const std::vector<uint8_t>& good : SweptFrames()) {
+    ASSERT_TRUE(DecodeFrame(good).ok());
+    for (size_t bit = 0; bit < good.size() * 8; ++bit) {
+      std::vector<uint8_t> bad = good;
+      bad[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      const Result<Frame> out = DecodeFrame(bad);
+      ASSERT_FALSE(out.ok()) << "type " << int{good[3]} << ": bit " << bit
+                             << " flip was accepted";
+      EXPECT_TRUE(out.status().IsCorruption()) << out.status().ToString();
+    }
   }
 }
 
 TEST(WireFormatCorruptionTest, EveryTruncationIsRejected) {
-  const std::vector<uint8_t> good = ValidDeltaBytes();
-  for (size_t len = 0; len < good.size(); ++len) {
-    const Result<Frame> out = DecodeFrame(good.data(), len);
-    ASSERT_FALSE(out.ok()) << "truncation to " << len << " was accepted";
-    EXPECT_TRUE(out.status().IsCorruption());
+  for (const std::vector<uint8_t>& good : SweptFrames()) {
+    for (size_t len = 0; len < good.size(); ++len) {
+      const Result<Frame> out = DecodeFrame(good.data(), len);
+      ASSERT_FALSE(out.ok()) << "type " << int{good[3]} << ": truncation to "
+                             << len << " was accepted";
+      EXPECT_TRUE(out.status().IsCorruption());
+    }
   }
 }
 
@@ -284,35 +382,37 @@ TEST(WireFormatCorruptionTest, BadMagicVersionAndType) {
   bytes[2] = 2;  // future protocol version
   EXPECT_TRUE(DecodeFrame(bytes).status().IsCorruption());
 
-  for (const uint8_t type : {uint8_t{0}, uint8_t{7}, uint8_t{255}}) {
+  for (const uint8_t type :
+       {uint8_t{0}, uint8_t{7}, uint8_t{9}, uint8_t{255}}) {
     bytes = EncodeFrame(MakeAckFrame());
     bytes[3] = type;
     EXPECT_TRUE(DecodeFrame(bytes).status().IsCorruption());
   }
 }
 
-TEST(WireFormatCorruptionTest, ForgedCountsCannotDriveAllocation) {
-  // A delta frame whose event count claims more events than the payload
-  // holds must fail BEFORE any reserve happens (valid CRC, hostile count).
-  std::vector<uint8_t> payload;
-  auto put_u32 = [&payload](uint32_t v) {
+/// Hand-built payload bytes, little-endian.
+struct PayloadBuilder {
+  std::vector<uint8_t> bytes;
+  PayloadBuilder& U32(uint32_t v) {
     for (int i = 0; i < 4; ++i) {
-      payload.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
     }
-  };
-  auto put_u64 = [&payload](uint64_t v) {
+    return *this;
+  }
+  PayloadBuilder& U64(uint64_t v) {
     for (int i = 0; i < 8; ++i) {
-      payload.push_back(static_cast<uint8_t>(v >> (8 * i)));
+      bytes.push_back(static_cast<uint8_t>(v >> (8 * i)));
     }
-  };
-  put_u32(0);           // shard
-  put_u64(0);           // nonce
-  put_u64(0);           // from_seq
-  put_u64(1);           // to_seq
-  put_u32(0xFFFFFFFF);  // forged event count; zero event bytes follow
+    return *this;
+  }
+};
 
+/// Frames `payload` with a correct length and CRC, so only the payload
+/// can make it invalid.
+std::vector<uint8_t> FrameWithValidCrc(FrameType type,
+                                       const std::vector<uint8_t>& payload) {
   std::vector<uint8_t> bytes = {kWireMagic0, kWireMagic1, kWireVersion,
-                                static_cast<uint8_t>(FrameType::kDelta)};
+                                static_cast<uint8_t>(type)};
   const uint32_t len = static_cast<uint32_t>(payload.size());
   for (int i = 0; i < 4; ++i) {
     bytes.push_back(static_cast<uint8_t>(len >> (8 * i)));
@@ -322,7 +422,36 @@ TEST(WireFormatCorruptionTest, ForgedCountsCannotDriveAllocation) {
   for (int i = 0; i < 4; ++i) {
     bytes.push_back(static_cast<uint8_t>(crc >> (8 * i)));
   }
-  const Result<Frame> out = DecodeFrame(bytes);
+  return bytes;
+}
+
+TEST(WireFormatCorruptionTest, ForgedCountsCannotDriveAllocation) {
+  // A delta frame whose event count claims more events than the payload
+  // holds must fail BEFORE any reserve happens (valid CRC, hostile count).
+  const std::vector<uint8_t> payload =
+      PayloadBuilder()
+          .U32(0)           // shard
+          .U64(0)           // nonce
+          .U64(0)           // from_seq
+          .U64(1)           // to_seq
+          .U32(0xFFFFFFFF)  // forged event count; zero event bytes follow
+          .bytes;
+  const Result<Frame> out =
+      DecodeFrame(FrameWithValidCrc(FrameType::kDelta, payload));
+  ASSERT_FALSE(out.ok());
+  EXPECT_TRUE(out.status().IsCorruption());
+  EXPECT_NE(out.status().message().find("count"), std::string::npos);
+}
+
+TEST(WireFormatCorruptionTest, ForgedHeadCountCannotDriveAllocation) {
+  // One head arrived; the count claims 2^32 - 1 of them.
+  const std::vector<uint8_t> payload = PayloadBuilder()
+                                           .U64(7)           // nonce
+                                           .U32(0xFFFFFFFF)  // forged count
+                                           .U64(3)           // the one head
+                                           .bytes;
+  const Result<Frame> out =
+      DecodeFrame(FrameWithValidCrc(FrameType::kHeads, payload));
   ASSERT_FALSE(out.ok());
   EXPECT_TRUE(out.status().IsCorruption());
   EXPECT_NE(out.status().message().find("count"), std::string::npos);

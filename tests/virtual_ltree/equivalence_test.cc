@@ -179,9 +179,12 @@ INSTANTIATE_TEST_SUITE_P(
                       ParamCase{16, 4, false}, ParamCase{16, 4, true},
                       ParamCase{32, 2, false}),
     [](const auto& info) {
-      return "f" + std::to_string(info.param.f) + "s" +
-             std::to_string(info.param.s) +
-             (info.param.purge ? "purge" : "");
+      std::string name = "f";
+      name += std::to_string(info.param.f);
+      name += 's';
+      name += std::to_string(info.param.s);
+      if (info.param.purge) name += "purge";
+      return name;
     });
 
 }  // namespace

@@ -8,6 +8,17 @@
 #include <vector>
 
 namespace ltree {
+
+// Reaches into the backing B+-tree to seed the corruptions Validate() must
+// report.
+class VirtualLTreeTestPeer {
+ public:
+  static Status InsertSlot(VirtualLTree* vt, Label label, LeafCookie cookie,
+                           bool deleted) {
+    return vt->btree_.Insert(label, VirtualLTree::PackValue(cookie, deleted));
+  }
+};
+
 namespace {
 
 std::vector<LeafCookie> MakeCookies(size_t n) {
@@ -190,6 +201,21 @@ TEST(VirtualLTreeTest, CapacityErrorWithoutCorruption) {
   // params path that the tree stays usable after an error.)
   ASSERT_TRUE(vt->BulkLoad(MakeCookies(8)).ok());
   EXPECT_TRUE(vt->Validate().ok()) << vt->Validate().ToString();
+}
+
+TEST(VirtualLTreeTest, ValidateReportsChildGap) {
+  // Figure 2's tree fills root digits 0 and 1 (labels 0..31 of 125). A
+  // slot at label 75 occupies root digit 3 while digit 2 stays empty — a
+  // hole no maintenance step leaves. It is a tombstone, so the live count
+  // still agrees and the gap is the only thing wrong.
+  auto vt = VirtualLTree::Create(Params{.f = 4, .s = 2}).ValueOrDie();
+  ASSERT_TRUE(vt->BulkLoad(MakeCookies(8)).ok());
+  ASSERT_TRUE(VirtualLTreeTestPeer::InsertSlot(vt.get(), 75, 99,
+                                               /*deleted=*/true)
+                  .ok());
+  const audit::Report report = vt->Validate();
+  EXPECT_TRUE(report.HasRule("child-gap")) << report.ToString();
+  EXPECT_FALSE(report.HasRule("live-count")) << report.ToString();
 }
 
 }  // namespace
