@@ -533,15 +533,6 @@ Result<BatchPlan> LTree::PlanBatchAfter(LeafHandle pos, uint64_t k) const {
   return plan;
 }
 
-Result<BatchPlan> LTree::PlanBatchBefore(LeafHandle pos, uint64_t k) const {
-  LTREE_CHECK(pos != nullptr);
-  LTREE_CHECK(pos->IsLeaf());
-  BatchPlan plan;
-  LTREE_RETURN_IF_ERROR(
-      PlanInsertAt(pos->parent, pos->index_in_parent, k, &plan));
-  return plan;
-}
-
 Status LTree::InsertBatchAfter(LeafHandle pos,
                                std::span<const LeafCookie> cookies,
                                std::vector<LeafHandle>* handles) {

@@ -91,14 +91,12 @@ class LTree {
   Status PushBackBatch(std::span<const LeafCookie> cookies,
                        std::vector<LeafHandle>* handles = nullptr);
 
-  /// Planning phase of the batch pipeline, exposed for tests and benches:
-  /// projects the effect of splicing `k` leaves after/before `pos` without
-  /// mutating the tree — the highest budget violator with the whole
-  /// escalation chain coalesced into one rebuild region. Fails with
-  /// CapacityExceeded exactly when the insert itself would. The plan is
-  /// invalidated by any mutation.
+  /// Planning phase of the batch pipeline, exposed for tests: projects the
+  /// effect of splicing `k` leaves after `pos` without mutating the tree —
+  /// the highest budget violator with the whole escalation chain coalesced
+  /// into one rebuild region. Fails with CapacityExceeded exactly when the
+  /// insert itself would. The plan is invalidated by any mutation.
   Result<BatchPlan> PlanBatchAfter(LeafHandle pos, uint64_t k) const;
-  Result<BatchPlan> PlanBatchBefore(LeafHandle pos, uint64_t k) const;
 
   /// Tombstones a leaf (Section 2.3): the label slot stays occupied, no
   /// relabeling happens. Fails with FailedPrecondition if already deleted.

@@ -22,6 +22,10 @@ Status Params::Validate() const {
         StrFormat("L-Tree requires branching base d = f/s >= 2, got f=%u s=%u",
                   f, s));
   }
+  if (f > kMaxFanout) {
+    return Status::InvalidArgument(
+        StrFormat("L-Tree requires f <= %u, got f=%u", kMaxFanout, f));
+  }
   return Status::OK();
 }
 

@@ -28,6 +28,11 @@ using Label = uint64_t;
 /// Client payload attached to each leaf (e.g. an XML tag id).
 using LeafCookie = uint64_t;
 
+/// Largest accepted f. It keeps f + 1 (the label base) and an (f+1)-slot
+/// child array far from 32-bit wraparound and allocation failure, and is
+/// ample: the tuner's lattice tops out at f = 1024.
+inline constexpr uint32_t kMaxFanout = 65536;
+
 /// Tunable L-Tree parameters. See model::CostModel (src/model) for the
 /// paper's Section 3.2 guidance on choosing f and s.
 struct Params {
@@ -44,7 +49,7 @@ struct Params {
   /// Branching base d = f/s.
   uint32_t d() const { return f / s; }
 
-  /// Requires s >= 2, s | f, and f/s >= 2.
+  /// Requires s >= 2, s | f, f/s >= 2 and f <= kMaxFanout.
   Status Validate() const;
 
   std::string ToString() const;

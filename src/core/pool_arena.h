@@ -2,9 +2,9 @@
 //
 // PR 3 introduced this design for the materialized L-Tree's nodes
 // (core/NodeArena); the counted B+-tree behind the virtual L-Tree pays the
-// same allocator tax on its hot paths (splits, merges, root collapse,
-// BulkBuild on every virtual root split), so the mechanism is generalized
-// here into a template both trees instantiate:
+// same allocator tax on its hot paths (ReplaceRange slice rebuilds, root
+// collapse, BulkBuild on every virtual root split), so the mechanism is
+// generalized here into a template both trees instantiate:
 //
 //  * nodes are carved from fixed-size chunks, so a fresh allocation is a
 //    bump of a chunk cursor (and chunk-local nodes are address-contiguous,

@@ -31,7 +31,7 @@ uint32_t UpperBoundScalar(const Label* keys, uint32_t n, Label key) {
 
 // On sorted input the bound index equals the number of elements below it,
 // so a data-independent sum of setcc results replaces the binary search's
-// unpredictable branches. n <= 65 in every tree-node caller.
+// unpredictable branches. n <= 64 in every tree-node caller.
 
 uint32_t LowerBoundBranchless(const Label* keys, uint32_t n, Label key) {
   uint32_t c = 0;

@@ -35,7 +35,7 @@ namespace search {
 enum class Kernel : uint8_t { kScalar = 0, kBranchless, kAvx2 };
 
 /// Index of the first element >= key (std::lower_bound). `keys` must be
-/// sorted ascending; n is the element count (node orders keep n <= 65, but
+/// sorted ascending; n is the element count (node orders keep n <= 64, but
 /// any length works). Dispatches to the resolved kernel.
 uint32_t LowerBound(const Label* keys, uint32_t n, Label key);
 

@@ -1,6 +1,8 @@
 #include "listlab/factory.h"
 
-#include <cstdlib>
+#include <charconv>
+#include <string_view>
+#include <system_error>
 
 #include "common/macros.h"
 #include "common/string_util.h"
@@ -11,6 +13,19 @@
 
 namespace ltree {
 namespace listlab {
+
+namespace {
+
+/// Parses the whole of `token` as a T: no sign or whitespace, no trailing
+/// junk, and (for integers) no value outside T's range.
+template <typename T>
+bool ParseWhole(std::string_view token, T* out) {
+  const char* const end = token.data() + token.size();
+  const auto [ptr, ec] = std::from_chars(token.data(), end, *out);
+  return ec == std::errc() && ptr == end;
+}
+
+}  // namespace
 
 Result<std::unique_ptr<LabelStore>> MakeLabelStore(const std::string& spec) {
   const auto parts = SplitString(spec, ':');
@@ -25,15 +40,18 @@ Result<std::unique_ptr<LabelStore>> MakeLabelStore(const std::string& spec) {
     if (parts.size() != 2) {
       return Status::InvalidArgument("usage: gap:<G>");
     }
-    const uint64_t g = std::strtoull(std::string(parts[1]).c_str(), nullptr, 10);
-    if (g < 2) return Status::InvalidArgument("gap must be >= 2");
+    uint64_t g = 0;
+    if (!ParseWhole(parts[1], &g) || g < 2) {
+      return Status::InvalidArgument("gap must be an integer >= 2");
+    }
     return std::unique_ptr<LabelStore>(new GapList(g));
   }
   if (kind == "bender") {
     BenderList::Options opts;
     if (parts.size() == 2) {
-      opts.root_density = std::strtod(std::string(parts[1]).c_str(), nullptr);
-      if (opts.root_density <= 0.0 || opts.root_density > 1.0) {
+      // Written so that NaN fails the range test too.
+      if (!ParseWhole(parts[1], &opts.root_density) ||
+          !(opts.root_density > 0.0 && opts.root_density <= 1.0)) {
         return Status::InvalidArgument("bender density must be in (0, 1]");
       }
     } else if (parts.size() > 2) {
@@ -46,10 +64,10 @@ Result<std::unique_ptr<LabelStore>> MakeLabelStore(const std::string& spec) {
       return Status::InvalidArgument("usage: (ltree|virtual):<f>:<s>[:purge]");
     }
     Params params;
-    params.f = static_cast<uint32_t>(
-        std::strtoul(std::string(parts[1]).c_str(), nullptr, 10));
-    params.s = static_cast<uint32_t>(
-        std::strtoul(std::string(parts[2]).c_str(), nullptr, 10));
+    if (!ParseWhole(parts[1], &params.f) || !ParseWhole(parts[2], &params.s)) {
+      return Status::InvalidArgument(
+          "f and s must be 32-bit unsigned integers: " + spec);
+    }
     if (parts.size() == 4) {
       if (parts[3] != "purge") {
         return Status::InvalidArgument(

@@ -10,18 +10,6 @@
 namespace ltree {
 namespace listlab {
 
-const char* EraseSemanticsName(EraseSemantics semantics) {
-  switch (semantics) {
-    case EraseSemantics::kTombstone:
-      return "tombstone";
-    case EraseSemantics::kTombstonePurge:
-      return "tombstone+purge";
-    case EraseSemantics::kPhysical:
-      return "physical";
-  }
-  return "unknown";
-}
-
 std::string MaintStats::ToString() const {
   return StrFormat(
       "MaintStats{inserts=%llu erases=%llu batches=%llu relabeled=%llu "

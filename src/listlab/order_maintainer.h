@@ -108,8 +108,6 @@ enum class EraseSemantics {
   kPhysical,        ///< unlinked immediately, label value reusable
 };
 
-const char* EraseSemanticsName(EraseSemantics semantics);
-
 /// Uniform cost accounting across schemes. "Relabels" is the paper's
 /// currency: the number of stored labels that changed.
 struct MaintStats {

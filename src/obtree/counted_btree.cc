@@ -12,15 +12,6 @@
 namespace ltree {
 namespace obtree {
 
-namespace {
-
-/// Fixed array capacity: one slot beyond the max order, because the insert
-/// path materializes the overflowed node (order+1 entries / children)
-/// before splitting it.
-inline constexpr uint32_t kNodeCap = kMaxNodeOrder + 1;
-
-}  // namespace
-
 // Cache-conscious SoA layout, embedded in the 64B-aligned arena slot:
 // keys first (offset 0), so a descent's in-node search streams the node's
 // leading cache lines with no pointer chase; payloads follow as a union
@@ -29,17 +20,17 @@ inline constexpr uint32_t kNodeCap = kMaxNodeOrder + 1;
 // the rarely-written header trails at the end.
 struct CountedBTree::Node {
   /// Leaf: entry keys. Internal: keys[i] == smallest key in child i+1.
-  Label keys[kNodeCap];
+  Label keys[kMaxNodeOrder];
 
   struct InternalArrays {
-    Node* child[kNodeCap];
+    Node* child[kMaxNodeOrder];
     /// ccount[i] caches child[i]->count (audited as child-count-cache), so
     /// CountLess/Select sum ranks without dereferencing siblings.
-    uint64_t ccount[kNodeCap];
+    uint64_t ccount[kMaxNodeOrder];
   };
   union {
-    uint64_t values[kNodeCap];  ///< leaf payloads
-    InternalArrays in;          ///< internal fan-out
+    uint64_t values[kMaxNodeOrder];  ///< leaf payloads
+    InternalArrays in;               ///< internal fan-out
   };
 
   /// Entries in this subtree (== num_keys for leaves).
@@ -132,61 +123,6 @@ uint32_t ChildIndex(const Node* n, Label key) {
   return search::UpperBound(n->keys, n->num_keys, key);
 }
 
-// ---- array micro-ops (memmove over trivially-copyable slots) -------------
-
-template <typename T>
-inline void SlotInsert(T* a, uint32_t n, uint32_t pos, T v) {
-  std::memmove(a + pos + 1, a + pos, (n - pos) * sizeof(T));
-  a[pos] = v;
-}
-
-template <typename T>
-inline void SlotErase(T* a, uint32_t n, uint32_t pos) {
-  std::memmove(a + pos, a + pos + 1, (n - pos - 1) * sizeof(T));
-}
-
-/// Inserts a key/value pair at `pos` of a leaf.
-inline void LeafInsert(Node* n, uint32_t pos, Label key, uint64_t value) {
-  SlotInsert(n->keys, n->num_keys, pos, key);
-  SlotInsert(n->values, n->num_keys, pos, value);
-  ++n->num_keys;
-}
-
-/// Removes the pair at `pos` of a leaf.
-inline void LeafErase(Node* n, uint32_t pos) {
-  SlotErase(n->keys, n->num_keys, pos);
-  SlotErase(n->values, n->num_keys, pos);
-  --n->num_keys;
-}
-
-inline void KeyInsert(Node* n, uint32_t pos, Label key) {
-  SlotInsert(n->keys, n->num_keys, pos, key);
-  ++n->num_keys;
-}
-
-inline void KeyErase(Node* n, uint32_t pos) {
-  SlotErase(n->keys, n->num_keys, pos);
-  --n->num_keys;
-}
-
-/// Inserts `c` (and its count-cache slot) at child position `pos`.
-inline void ChildInsert(Node* n, uint32_t pos, Node* c) {
-  SlotInsert(n->in.child, n->num_children, pos, c);
-  SlotInsert(n->in.ccount, n->num_children, pos, c->count);
-  ++n->num_children;
-}
-
-inline void ChildErase(Node* n, uint32_t pos) {
-  SlotErase(n->in.child, n->num_children, pos);
-  SlotErase(n->in.ccount, n->num_children, pos);
-  --n->num_children;
-}
-
-struct SplitResult {
-  Label separator;  // smallest key of the new right node
-  Node* right;
-};
-
 }  // namespace
 
 CountedBTree::CountedBTree(uint32_t order)
@@ -197,35 +133,6 @@ CountedBTree::CountedBTree(uint32_t order)
 // Every node lives in arena chunks, which free wholesale — no tree walk.
 CountedBTree::~CountedBTree() = default;
 
-// A moved-from tree keeps a null arena (so the noexcept moves never
-// allocate); the invariant is arena_ == nullptr implies root_ == nullptr,
-// and the two entry points that can grow an empty tree re-arm it lazily.
-CountedBTree::CountedBTree(CountedBTree&& other) noexcept
-    : root_(other.root_),
-      order_(other.order_),
-      arena_(std::move(other.arena_)),
-      epoch_(other.epoch_) {
-  other.root_ = nullptr;
-  other.epoch_ = nullptr;
-}
-
-CountedBTree& CountedBTree::operator=(CountedBTree&& other) noexcept {
-  if (this != &other) {
-    root_ = other.root_;
-    order_ = other.order_;
-    arena_ = std::move(other.arena_);  // old nodes die with the old arena
-    epoch_ = other.epoch_;
-    other.root_ = nullptr;
-    other.epoch_ = nullptr;
-  }
-  return *this;
-}
-
-BTreeNodeArena* CountedBTree::EnsureArena() {
-  if (arena_ == nullptr) arena_ = std::make_unique<BTreeNodeArena>();
-  return arena_.get();
-}
-
 void CountedBTree::Clear() {
   if (root_ == nullptr) return;
   ReleaseTree(NodePool{arena_.get(), epoch_}, root_);
@@ -233,112 +140,11 @@ void CountedBTree::Clear() {
 }
 
 const PoolArenaStats& CountedBTree::arena_stats() const {
-  static const PoolArenaStats kEmpty;
-  return arena_ == nullptr ? kEmpty : arena_->stats();
+  return arena_->stats();
 }
 
 uint64_t CountedBTree::size() const {
   return root_ == nullptr ? 0 : root_->count;
-}
-
-// --------------------------------------------------------------------------
-// Insert
-// --------------------------------------------------------------------------
-
-namespace {
-
-Result<SplitResult*> InsertRec(Node* n, Label key, uint64_t value,
-                               uint32_t order, BTreeNodeArena* arena,
-                               SplitResult* split_storage) {
-  if (n->leaf) {
-    const uint32_t pos = search::LowerBound(n->keys, n->num_keys, key);
-    if (pos < n->num_keys && n->keys[pos] == key) {
-      return Status::AlreadyExists("duplicate key");
-    }
-    LeafInsert(n, pos, key, value);
-    n->count = n->num_keys;
-    if (n->num_keys <= order) return static_cast<SplitResult*>(nullptr);
-    // Split the leaf in half.
-    Node* right = arena->Allocate();
-    right->leaf = true;
-    const uint32_t half = n->num_keys / 2;
-    const uint32_t rlen = n->num_keys - half;
-    std::memcpy(right->keys, n->keys + half, rlen * sizeof(Label));
-    std::memcpy(right->values, n->values + half, rlen * sizeof(uint64_t));
-    right->num_keys = static_cast<uint16_t>(rlen);
-    n->num_keys = static_cast<uint16_t>(half);
-    n->count = half;
-    right->count = rlen;
-    split_storage->separator = right->keys[0];
-    split_storage->right = right;
-    return split_storage;
-  }
-
-  const uint32_t ci = ChildIndex(n, key);
-  SplitResult child_split;
-  LTREE_ASSIGN_OR_RETURN(SplitResult * split,
-                         InsertRec(n->in.child[ci], key, value, order, arena,
-                                   &child_split));
-  ++n->count;
-  // Refresh the count cache for the descended child: it either grew by one
-  // or — if it split — shrank to its left half.
-  n->in.ccount[ci] = n->in.child[ci]->count;
-  if (split == nullptr) return static_cast<SplitResult*>(nullptr);
-  KeyInsert(n, ci, split->separator);
-  ChildInsert(n, ci + 1, split->right);
-  if (n->num_children <= order) return static_cast<SplitResult*>(nullptr);
-  // Split this internal node.
-  Node* right = arena->Allocate();
-  right->leaf = false;
-  const uint32_t half_children = n->num_children / 2;
-  // Separator promoted upward is the min key of the right half.
-  const Label up_sep = n->keys[half_children - 1];
-  const uint32_t rchildren = n->num_children - half_children;
-  const uint32_t rkeys = n->num_keys - half_children;
-  std::memcpy(right->in.child, n->in.child + half_children,
-              rchildren * sizeof(Node*));
-  std::memcpy(right->in.ccount, n->in.ccount + half_children,
-              rchildren * sizeof(uint64_t));
-  std::memcpy(right->keys, n->keys + half_children, rkeys * sizeof(Label));
-  right->num_children = static_cast<uint16_t>(rchildren);
-  right->num_keys = static_cast<uint16_t>(rkeys);
-  n->num_children = static_cast<uint16_t>(half_children);
-  n->num_keys = static_cast<uint16_t>(half_children - 1);
-  uint64_t right_count = 0;
-  for (uint32_t i = 0; i < rchildren; ++i) right_count += right->in.ccount[i];
-  right->count = right_count;
-  n->count -= right_count;
-  split_storage->separator = up_sep;
-  split_storage->right = right;
-  return split_storage;
-}
-
-}  // namespace
-
-Status CountedBTree::Insert(Label key, uint64_t value) {
-  EnsureArena();
-  if (root_ == nullptr) {
-    root_ = arena_->Allocate();
-    root_->leaf = true;
-  }
-  SplitResult split_storage;
-  LTREE_ASSIGN_OR_RETURN(
-      SplitResult * split,
-      InsertRec(root_, key, value, order_, arena_.get(), &split_storage));
-  if (split != nullptr) {
-    Node* new_root = arena_->Allocate();
-    new_root->leaf = false;
-    new_root->in.child[0] = root_;
-    new_root->in.ccount[0] = root_->count;
-    new_root->in.child[1] = split->right;
-    new_root->in.ccount[1] = split->right->count;
-    new_root->num_children = 2;
-    new_root->keys[0] = split->separator;
-    new_root->num_keys = 1;
-    new_root->count = root_->count + split->right->count;
-    root_ = new_root;
-  }
-  return Status::OK();
 }
 
 // --------------------------------------------------------------------------
@@ -377,179 +183,6 @@ Result<uint64_t> CountedBTree::Lookup(Label key) const {
 }
 
 bool CountedBTree::Contains(Label key) const { return Lookup(key).ok(); }
-
-// --------------------------------------------------------------------------
-// Delete
-// --------------------------------------------------------------------------
-
-namespace {
-
-/// Rebalances n->in.child[ci] after a deletion left it underfull.
-void FixUnderflow(Node* n, uint32_t ci, uint32_t order,
-                  const NodePool& pool) {
-  Node* child = n->in.child[ci];
-  const uint32_t min_fill = order / 2;
-  const uint32_t child_size = child->leaf ? child->num_keys
-                                          : child->num_children;
-  if (child_size >= min_fill) return;
-
-  Node* left = ci > 0 ? n->in.child[ci - 1] : nullptr;
-  Node* right = ci + 1 < n->num_children ? n->in.child[ci + 1] : nullptr;
-
-  auto left_size = [&]() {
-    return left->leaf ? left->num_keys : left->num_children;
-  };
-  auto right_size = [&]() {
-    return right->leaf ? right->num_keys : right->num_children;
-  };
-
-  if (left != nullptr && left_size() > min_fill) {
-    // Borrow the largest item of the left sibling.
-    if (child->leaf) {
-      LeafInsert(child, 0, left->keys[left->num_keys - 1],
-                 left->values[left->num_keys - 1]);
-      --left->num_keys;
-      child->count = child->num_keys;
-      left->count = left->num_keys;
-    } else {
-      Node* moved = left->in.child[left->num_children - 1];
-      --left->num_children;
-      // The separator between `moved` and child's old first child is the
-      // min key of the old first child.
-      KeyInsert(child, 0, MinKey(child->in.child[0]));
-      ChildInsert(child, 0, moved);
-      --left->num_keys;
-      child->count += moved->count;
-      left->count -= moved->count;
-    }
-    n->keys[ci - 1] = MinKey(child);
-    n->in.ccount[ci - 1] = left->count;
-    n->in.ccount[ci] = child->count;
-    return;
-  }
-  if (right != nullptr && right_size() > min_fill) {
-    // Borrow the smallest item of the right sibling.
-    if (child->leaf) {
-      LeafInsert(child, child->num_keys, right->keys[0], right->values[0]);
-      LeafErase(right, 0);
-      child->count = child->num_keys;
-      right->count = right->num_keys;
-    } else {
-      Node* moved = right->in.child[0];
-      ChildErase(right, 0);
-      KeyInsert(child, child->num_keys, MinKey(moved));
-      ChildInsert(child, child->num_children, moved);
-      KeyErase(right, 0);
-      child->count += moved->count;
-      right->count -= moved->count;
-    }
-    n->keys[ci] = MinKey(right);
-    n->in.ccount[ci] = child->count;
-    n->in.ccount[ci + 1] = right->count;
-    return;
-  }
-
-  // Merge with a sibling (prefer left).
-  if (left != nullptr) {
-    // Merge child into left.
-    if (child->leaf) {
-      std::memcpy(left->keys + left->num_keys, child->keys,
-                  child->num_keys * sizeof(Label));
-      std::memcpy(left->values + left->num_keys, child->values,
-                  child->num_keys * sizeof(uint64_t));
-      left->num_keys = static_cast<uint16_t>(left->num_keys + child->num_keys);
-      left->count = left->num_keys;
-    } else {
-      KeyInsert(left, left->num_keys, MinKey(child->in.child[0]));
-      std::memcpy(left->keys + left->num_keys, child->keys,
-                  child->num_keys * sizeof(Label));
-      left->num_keys = static_cast<uint16_t>(left->num_keys + child->num_keys);
-      std::memcpy(left->in.child + left->num_children, child->in.child,
-                  child->num_children * sizeof(Node*));
-      std::memcpy(left->in.ccount + left->num_children, child->in.ccount,
-                  child->num_children * sizeof(uint64_t));
-      left->num_children =
-          static_cast<uint16_t>(left->num_children + child->num_children);
-      left->count += child->count;
-    }
-    // The merged-away node's children now live under `left`; the husk keeps
-    // its (stale) arrays readable until it recycles through the pool.
-    pool.Free(child);
-    ChildErase(n, ci);
-    KeyErase(n, ci - 1);
-    n->in.ccount[ci - 1] = left->count;
-  } else {
-    LTREE_CHECK(right != nullptr);
-    // Merge right into child.
-    if (child->leaf) {
-      std::memcpy(child->keys + child->num_keys, right->keys,
-                  right->num_keys * sizeof(Label));
-      std::memcpy(child->values + child->num_keys, right->values,
-                  right->num_keys * sizeof(uint64_t));
-      child->num_keys =
-          static_cast<uint16_t>(child->num_keys + right->num_keys);
-      child->count = child->num_keys;
-    } else {
-      KeyInsert(child, child->num_keys, MinKey(right->in.child[0]));
-      std::memcpy(child->keys + child->num_keys, right->keys,
-                  right->num_keys * sizeof(Label));
-      child->num_keys =
-          static_cast<uint16_t>(child->num_keys + right->num_keys);
-      std::memcpy(child->in.child + child->num_children, right->in.child,
-                  right->num_children * sizeof(Node*));
-      std::memcpy(child->in.ccount + child->num_children, right->in.ccount,
-                  right->num_children * sizeof(uint64_t));
-      child->num_children =
-          static_cast<uint16_t>(child->num_children + right->num_children);
-      child->count += right->count;
-    }
-    pool.Free(right);
-    ChildErase(n, ci + 1);
-    KeyErase(n, ci);
-    n->in.ccount[ci] = child->count;
-  }
-}
-
-Status DeleteRec(Node* n, Label key, uint32_t order,
-                 const NodePool& pool) {
-  if (n->leaf) {
-    const uint32_t pos = search::LowerBound(n->keys, n->num_keys, key);
-    if (pos >= n->num_keys || n->keys[pos] != key) {
-      return Status::NotFound("key not present");
-    }
-    LeafErase(n, pos);
-    n->count = n->num_keys;
-    return Status::OK();
-  }
-  const uint32_t ci = ChildIndex(n, key);
-  LTREE_RETURN_IF_ERROR(DeleteRec(n->in.child[ci], key, order, pool));
-  --n->count;
-  n->in.ccount[ci] = n->in.child[ci]->count;
-  // Deleting the subtree minimum stales the separator left of ci; fix it
-  // while children[ci] still exists (FixUnderflow may merge it away).
-  if (ci > 0) {
-    n->keys[ci - 1] = MinKey(n->in.child[ci]);
-  }
-  FixUnderflow(n, ci, order, pool);
-  return Status::OK();
-}
-
-}  // namespace
-
-Status CountedBTree::Delete(Label key) {
-  if (root_ == nullptr) return Status::NotFound("empty tree");
-  const NodePool pool{arena_.get(), epoch_};
-  LTREE_RETURN_IF_ERROR(DeleteRec(root_, key, order_, pool));
-  if (!root_->leaf && root_->num_children == 1) {
-    Node* only = root_->in.child[0];
-    pool.Free(root_);  // root collapse: the surviving child lives on
-    root_ = only;
-  } else if (root_->leaf && root_->num_keys == 0) {
-    pool.Free(root_);
-    root_ = nullptr;
-  }
-  return Status::OK();
-}
 
 // --------------------------------------------------------------------------
 // Order statistics
@@ -811,7 +444,6 @@ Status CountedBTree::BulkBuild(std::span<const Entry> entries) {
   }
   Clear();
   if (entries.empty()) return Status::OK();
-  EnsureArena();
   std::vector<Node*> level;
   BuildLeafLevel(entries, order_, arena_.get(), &level);
   while (level.size() > 1) StackLevel(&level, order_, arena_.get());

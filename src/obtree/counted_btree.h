@@ -17,7 +17,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -35,9 +34,9 @@ namespace obtree {
 class BTreeNodeArena;
 
 /// Largest supported node order. Node key/child arrays are fixed-capacity
-/// (embedded in the 64B-aligned arena slot, no heap indirection), sized for
-/// kMaxNodeOrder plus one transient overflow slot on insert-then-split
-/// paths.
+/// (embedded in the 64B-aligned arena slot, no heap indirection) and hold
+/// exactly kMaxNodeOrder slots: every writer sizes a node before filling
+/// it, so no node ever overflows its order, even transiently.
 inline constexpr uint32_t kMaxNodeOrder = 64;
 
 /// One key/value entry.
@@ -57,28 +56,24 @@ class CountedBTree {
 
   CountedBTree(const CountedBTree&) = delete;
   CountedBTree& operator=(const CountedBTree&) = delete;
-  CountedBTree(CountedBTree&& other) noexcept;
-  CountedBTree& operator=(CountedBTree&& other) noexcept;
 
   // ------------------------------------------------------------- mutations
-
-  /// Inserts a new entry; AlreadyExists if the key is present.
-  Status Insert(Label key, uint64_t value);
+  //
+  // ReplaceRange and BulkBuild are the only structural writers. A single
+  // key k is the range [k, k + 1): ReplaceRange with that one entry inserts
+  // or overwrites it, and with no entries erases it (a no-op when absent).
 
   /// Updates the value of an existing key; NotFound otherwise.
   Status Update(Label key, uint64_t value);
 
-  /// Removes a key; NotFound if absent.
-  Status Delete(Label key);
-
   /// Replaces all entries with keys in [lo, hi) by `entries` (which must be
   /// sorted by key, unique, and lie within [lo, hi)). This is the virtual
   /// L-Tree's bulk relabel primitive, implemented as one structural pass:
-  /// locate the leaf range, splice the replacement run in place, repair
-  /// occupancy/counts/separators bottom-up once (instead of k deletes plus
-  /// k inserts at O(log n) each). `lo == hi` is a no-op; an empty `entries`
-  /// span is a pure range erase; replacing the whole key range degenerates
-  /// to a pool-recycled BulkBuild.
+  /// locate the covering child slice, splice the replacement run into it,
+  /// rebuild the slice at legal occupancy and repair counts/separators
+  /// bottom-up once. `lo == hi` is a no-op; an empty `entries` span is a
+  /// pure range erase; replacing the whole key range degenerates to a
+  /// pool-recycled BulkBuild.
   Status ReplaceRange(Label lo, Label hi, std::span<const Entry> entries);
 
   /// Rebuilds the tree from sorted unique entries (replacing any content).
@@ -148,11 +143,11 @@ class CountedBTree {
   uint32_t order() const { return order_; }
 
   /// Attaches an epoch manager for concurrent readers: every node freed by
-  /// Delete/ReplaceRange/BulkBuild/Clear is retired through it instead of
-  /// going straight to the pool free list, so a reader traversing a
+  /// ReplaceRange/BulkBuild/Clear is retired through it instead of going
+  /// straight to the pool free list, so a reader traversing a
   /// possibly-stale structure under a ReadGuard never observes a recycled
   /// node. The manager must outlive the tree, and the owner must drain it
-  /// (ReclaimAllUnsafe) before the tree's arena dies. Survives moves.
+  /// (ReclaimAllUnsafe) before the tree's arena dies.
   void set_epoch(epoch::EpochManager* epoch) { epoch_ = epoch; }
   epoch::EpochManager* epoch() const { return epoch_; }
 
@@ -175,13 +170,9 @@ class CountedBTree {
   struct Node;
 
  private:
-  /// Re-creates the arena if a move emptied it (arena_ == nullptr implies
-  /// root_ == nullptr, so only Insert/BulkBuild ever need this).
-  BTreeNodeArena* EnsureArena();
-
   Node* root_ = nullptr;
   uint32_t order_;
-  std::unique_ptr<BTreeNodeArena> arena_;
+  const std::unique_ptr<BTreeNodeArena> arena_;  ///< never null
   epoch::EpochManager* epoch_ = nullptr;  ///< not owned; may be nullptr
 };
 

@@ -139,9 +139,7 @@ Status VirtualLTree::EnsureCapacityFor(uint64_t k) const {
   return Status::CapacityExceeded("insertion exceeds 64-bit label space");
 }
 
-uint64_t VirtualLTree::MaybePurge(std::vector<obtree::Entry>* entries,
-                                  std::span<const Label> fresh) {
-  (void)fresh;
+uint64_t VirtualLTree::MaybePurge(std::vector<obtree::Entry>* entries) {
   if (!params_.purge_tombstones_on_split) return 0;
   uint64_t live = 0;
   for (const auto& e : *entries) {
@@ -240,7 +238,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
       combined.push_back({kInvalidLabel, p.value});
     }
     combined.insert(combined.end(), all.begin() + r, all.end());
-    MaybePurge(&combined, {});
+    MaybePurge(&combined);
 
     const uint64_t l = combined.size();
     uint32_t new_height = 0;
@@ -297,7 +295,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
     combined.push_back({kInvalidLabel, p.value});
   }
   combined.insert(combined.end(), olds.begin() + r, olds.end());
-  MaybePurge(&combined, {});
+  MaybePurge(&combined);
 
   const uint64_t l = combined.size();
   LTREE_CHECK(l == region_leaves);  // the plan's projection was exact

@@ -200,8 +200,7 @@ class VirtualLTree {
                             std::vector<Label>* fresh_labels);
 
   /// Drops tombstoned entries if purging is enabled (keeps >= 1 entry).
-  uint64_t MaybePurge(std::vector<obtree::Entry>* entries,
-                      std::span<const Label> fresh);
+  uint64_t MaybePurge(std::vector<obtree::Entry>* entries);
 
   static uint64_t PackValue(LeafCookie cookie, bool deleted) {
     return (cookie << 1) | (deleted ? 1u : 0u);

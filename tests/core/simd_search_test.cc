@@ -65,7 +65,7 @@ void CheckAllProbes(const std::vector<Label>& keys) {
 
 TEST(SimdSearchTest, EveryWidthRandomized) {
   std::mt19937_64 rng(42);
-  // Every width a node can reach, including the transient order+1 overflow.
+  // Every width a node can reach, and one beyond the widest.
   for (uint32_t n = 0; n <= obtree::kMaxNodeOrder + 1; ++n) {
     for (int rep = 0; rep < 8; ++rep) {
       std::vector<Label> keys(n);
@@ -164,8 +164,8 @@ TEST(SimdSearchTest, LowerBoundByMatchesStdOnStridedRuns) {
   }
 }
 
-// The in-tree effect: a tree fed through each kernel must produce
-// bit-identical query answers.
+// The in-tree effect: the same tree queried through each kernel must
+// produce bit-identical answers.
 TEST(SimdSearchTest, TreeQueriesAgreeAcrossKernels) {
   std::mt19937_64 rng(1234);
   std::vector<Label> keys;
@@ -173,11 +173,14 @@ TEST(SimdSearchTest, TreeQueriesAgreeAcrossKernels) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
 
+  std::vector<obtree::Entry> entries;
+  for (Label k : keys) entries.push_back({k, k ^ 0x5a5a});
+
   std::vector<std::vector<uint64_t>> ranks;
   for (const auto& fns : AvailableKernels()) {
     SetKernelForTest(fns.kernel);
     obtree::CountedBTree tree(8);
-    for (Label k : keys) ASSERT_TRUE(tree.Insert(k, k ^ 0x5a5a).ok());
+    ASSERT_TRUE(tree.BulkBuild(entries).ok());
     std::vector<uint64_t> r;
     std::mt19937_64 probe_rng(777);  // identical probe stream per kernel
     for (int i = 0; i < 500; ++i) {

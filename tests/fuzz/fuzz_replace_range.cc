@@ -1,12 +1,14 @@
 // Differential fuzzer: CountedBTree::ReplaceRange vs a sorted-vector oracle.
 //
-// ReplaceRange is the virtual L-Tree's bulk relabel primitive and by far
-// the most structurally aggressive CountedBTree mutation (in-place leaf
-// splicing plus a bottom-up occupancy/count/separator repair). The oracle
-// is a plain sorted std::vector<Entry> where the same operation is a
-// trivial erase+insert. After every mutation the tree must match the
-// oracle exactly (ScanAll), agree on the rank/count queries the virtual
-// scheme depends on, and pass the deep auditor.
+// ReplaceRange is the virtual L-Tree's bulk relabel primitive and, with
+// BulkBuild, CountedBTree's only structural write path (in-place leaf
+// splicing plus a bottom-up occupancy/count/separator repair). The fuzzer
+// drives it with single-key writes (insert or overwrite, erase), range
+// replacements and pure range erases. The oracle is a plain sorted
+// std::vector<Entry> where the same operation is a trivial erase+insert.
+// After every mutation the tree must match the oracle exactly (ScanAll),
+// agree on the rank/count queries the virtual scheme depends on, and pass
+// the deep auditor.
 
 #include <algorithm>
 #include <cstdint>
@@ -54,13 +56,6 @@ void RequireOk(const Status& s, const char* what) {
                  s.message().c_str());
     std::abort();
   }
-}
-
-bool OracleContains(const std::vector<Entry>& oracle, Label key) {
-  auto it = std::lower_bound(
-      oracle.begin(), oracle.end(), key,
-      [](const Entry& e, Label k) { return e.key < k; });
-  return it != oracle.end() && it->key == key;
 }
 
 /// Mirrors ReplaceRange on the sorted vector: drop [lo, hi), splice in the
@@ -128,31 +123,17 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
     ++ops;
     const uint8_t op = in.U8() % 4;
     switch (op) {
-      case 0: {  // Insert a fresh key
+      case 0: {  // Single-key insert, or overwrite of a present key
         if (oracle.size() >= kMaxEntries) break;
         const Label key = in.U16() % kKeySpace;
         const Entry entry{key, next_value++};
-        if (OracleContains(oracle, key)) {
-          // Differential negative: duplicate insert must be rejected and
-          // must not disturb the tree.
-          if (!tree.Insert(key, entry.value).IsAlreadyExists()) {
-            Die("duplicate Insert not rejected");
-          }
-          break;
-        }
-        RequireOk(tree.Insert(key, entry.value), "Insert");
+        RequireOk(tree.ReplaceRange(key, key + 1, {&entry, 1}), "insert");
         OracleReplaceRange(&oracle, key, key + 1, {entry});
         break;
       }
-      case 1: {  // Delete
+      case 1: {  // Single-key erase; a no-op when the key is absent
         const Label key = in.U16() % kKeySpace;
-        if (!OracleContains(oracle, key)) {
-          if (!tree.Delete(key).IsNotFound()) {
-            Die("Delete of absent key not rejected");
-          }
-          break;
-        }
-        RequireOk(tree.Delete(key), "Delete");
+        RequireOk(tree.ReplaceRange(key, key + 1, {}), "erase");
         OracleReplaceRange(&oracle, key, key + 1, {});
         break;
       }

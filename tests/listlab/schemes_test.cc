@@ -308,7 +308,8 @@ TEST(VirtualLTreeStoreTest, DoubleEraseFailedPrecondition) {
 TEST(FactoryTest, BuildsEverySpec) {
   for (const char* spec :
        {"sequential", "gap:64", "bender", "bender:0.75", "ltree:16:4",
-        "ltree:16:4:purge", "virtual:8:2", "virtual:8:2:purge"}) {
+        "ltree:16:4:purge", "ltree:4096:2048", "virtual:8:2",
+        "virtual:8:2:purge"}) {
     auto m = MakeLabelStore(spec);
     ASSERT_TRUE(m.ok()) << spec;
     ASSERT_TRUE((*m)->BulkLoad(4, nullptr).ok()) << spec;
@@ -317,15 +318,17 @@ TEST(FactoryTest, BuildsEverySpec) {
 }
 
 TEST(FactoryTest, RejectsBadSpecs) {
-  EXPECT_FALSE(MakeLabelStore("nope").ok());
-  EXPECT_FALSE(MakeLabelStore("gap").ok());
-  EXPECT_FALSE(MakeLabelStore("gap:1").ok());
-  EXPECT_FALSE(MakeLabelStore("bender:0").ok());
-  EXPECT_FALSE(MakeLabelStore("bender:1.5").ok());
-  EXPECT_FALSE(MakeLabelStore("ltree:16").ok());
-  EXPECT_FALSE(MakeLabelStore("ltree:5:2").ok());
-  EXPECT_FALSE(MakeLabelStore("ltree:16:4:oops").ok());
-  EXPECT_FALSE(MakeLabelStore("sequential:1").ok());
+  for (const char* spec :
+       {"nope", "gap", "gap:1", "bender:0", "bender:1.5", "ltree:16",
+        "ltree:5:2", "ltree:16:4:oops", "sequential:1",
+        // A NaN density, an f whose f + 1 wraps to 0 in 32 bits, an f
+        // whose child array cannot be allocated, an f beyond 32 bits,
+        // trailing junk, and a gap beyond 64 bits.
+        "bender:nan", "virtual:4294967295:3", "ltree:4294967294:2",
+        "ltree:4294967312:4", "ltree:16x:4", "gap:64abc", "bender:0.5x",
+        "gap:18446744073709551617"}) {
+    EXPECT_TRUE(MakeLabelStore(spec).status().IsInvalidArgument()) << spec;
+  }
 }
 
 // The RelabelListener must fire for exactly the items whose labels change,

@@ -3,15 +3,16 @@
 //
 //  * conservation — every node the pool ever handed out is either reachable
 //    from the root or back on the free list, i.e.
-//    arena_stats().live() == NodeCount(), across randomized insert/delete
-//    scripts that exercise leaf/internal splits, borrow-left/right, merges,
-//    root collapse and the empty-tree edge;
+//    arena_stats().live() == NodeCount(), across randomized insert/erase
+//    scripts written through single-key ReplaceRange, which exercise
+//    in-leaf splices, slice rebuilds escalating up to the root, root
+//    collapse and the empty-tree edge;
 //  * recycling — Clear()+BulkBuild (the virtual L-Tree's root-split path)
-//    and delete-then-insert churn are served by the free list, not fresh
+//    and erase-then-insert churn are served by the free list, not fresh
 //    chunks.
 //
 // This suite carries the obtree label, so CI's ASan+UBSan job
-// (ctest -L "core|obtree") runs the whole merge/underflow path sanitized.
+// (ctest -L "core|obtree") runs the whole slice-rebuild path sanitized.
 
 #include <gtest/gtest.h>
 
@@ -22,6 +23,7 @@
 #include "common/random.h"
 #include "core/epoch.h"
 #include "obtree/counted_btree.h"
+#include "single_key_writes.h"
 
 namespace ltree {
 namespace obtree {
@@ -43,23 +45,23 @@ TEST(BTreeArenaTest, EmptyTreeHasNoTraffic) {
 
 TEST(BTreeArenaTest, InsertDeleteRoundTripConserves) {
   CountedBTree tree(4);
-  ASSERT_TRUE(tree.Insert(1, 10).ok());
+  ASSERT_TRUE(Put(&tree, 1, 10).ok());
   EXPECT_EQ(tree.arena_stats().live(), 1u);
   EXPECT_EQ(tree.NodeCount(), 1u);
-  ASSERT_TRUE(tree.Delete(1).ok());
-  // Deleting the last entry releases the root leaf back to the pool.
+  ASSERT_TRUE(Erase(&tree, 1).ok());
+  // Erasing the last entry releases the root leaf back to the pool.
   EXPECT_EQ(tree.arena_stats().live(), 0u);
   EXPECT_EQ(tree.NodeCount(), 0u);
   EXPECT_EQ(tree.arena_stats().releases, 1u);
   // The next root comes off the free list, not a fresh chunk slot.
-  ASSERT_TRUE(tree.Insert(2, 20).ok());
+  ASSERT_TRUE(Put(&tree, 2, 20).ok());
   EXPECT_EQ(tree.arena_stats().reused_allocs, 1u);
   EXPECT_EQ(tree.arena_stats().fresh_allocs, 1u);
 }
 
-// The randomized mirror of ArenaConservationTest: a delete-heavy script at
-// minimum order, so underflow repair (borrow left/right, merge left/right,
-// root collapse) runs constantly.
+// The randomized mirror of ArenaConservationTest: an erase-heavy script at
+// minimum order, so leaves keep leaving their occupancy bounds and the
+// rebuilt slice escalates (up to a root rebuild or collapse) constantly.
 TEST(BTreeArenaTest, RandomInsertDeleteScriptConservesNodes) {
   CountedBTree tree(4);
   auto check = [&](const char* where, int step) {
@@ -73,15 +75,16 @@ TEST(BTreeArenaTest, RandomInsertDeleteScriptConservesNodes) {
   std::vector<Label> present;
   uint64_t next_key = 0;
   for (int step = 0; step < 4000; ++step) {
-    // Delete-biased so the population keeps shrinking back through merges.
+    // Erase-biased so the population keeps shrinking back through
+    // underfull slices.
     if (!present.empty() && rng.Bernoulli(0.45)) {
       const size_t r = static_cast<size_t>(rng.Uniform(present.size()));
       std::swap(present[r], present.back());
-      ASSERT_TRUE(tree.Delete(present.back()).ok());
+      ASSERT_TRUE(Erase(&tree, present.back()).ok());
       present.pop_back();
     } else {
       const Label key = next_key++;
-      ASSERT_TRUE(tree.Insert(key, key).ok());
+      ASSERT_TRUE(Put(&tree, key, key).ok());
       present.push_back(key);
     }
     if (step % 100 == 0) check("mid script", step);
@@ -89,13 +92,13 @@ TEST(BTreeArenaTest, RandomInsertDeleteScriptConservesNodes) {
   check("after script", 4000);
   EXPECT_EQ(tree.size(), present.size());
 
-  // Merges released internal nodes and later inserts recycled them.
+  // Slice rebuilds released nodes and later rebuilds recycled them.
   EXPECT_GT(tree.arena_stats().releases, 0u);
   EXPECT_GT(tree.arena_stats().reused_allocs, 0u);
 
   // Drain to empty: every node the pool ever handed out comes back.
   std::sort(present.begin(), present.end());
-  for (Label key : present) ASSERT_TRUE(tree.Delete(key).ok());
+  for (Label key : present) ASSERT_TRUE(Erase(&tree, key).ok());
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_EQ(tree.NodeCount(), 0u);
   EXPECT_EQ(tree.arena_stats().live(), 0u);
@@ -112,8 +115,9 @@ TEST(BTreeArenaTest, ReplaceRangeRecyclesThroughThePool) {
   ASSERT_TRUE(tree.ReplaceRange(256, 768, replacement).ok());
   ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   EXPECT_EQ(tree.arena_stats().live(), tree.NodeCount());
-  // The deletes merged nodes away and the re-inserts recycled them: real
-  // release/reuse traffic, with no more than one extra chunk of growth.
+  // The old slice went back to the pool and its rebuild came off the free
+  // list: real release/reuse traffic, with no more than one extra chunk of
+  // growth.
   EXPECT_GT(tree.arena_stats().releases, before.releases);
   EXPECT_GT(tree.arena_stats().reused_allocs, before.reused_allocs);
   EXPECT_LE(tree.arena_stats().chunks, before.chunks + 1);
@@ -136,32 +140,6 @@ TEST(BTreeArenaTest, ClearThenBulkBuildReusesInsteadOfGrowing) {
   ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
-TEST(BTreeArenaTest, MoveTransfersPoolOwnership) {
-  CountedBTree tree(8);
-  ASSERT_TRUE(tree.BulkBuild(MakeEntries(300)).ok());
-  const uint64_t live = tree.arena_stats().live();
-  ASSERT_GT(live, 0u);
-
-  CountedBTree moved(std::move(tree));
-  EXPECT_EQ(moved.arena_stats().live(), live);
-  EXPECT_EQ(moved.arena_stats().live(), moved.NodeCount());
-  ASSERT_TRUE(moved.Validate().ok()) << moved.Validate().ToString();
-
-  // The moved-from tree is empty with no pool (so the noexcept move never
-  // allocates); every accessor stays safe and the tree stays usable.
-  EXPECT_EQ(tree.size(), 0u);
-  EXPECT_EQ(tree.arena_stats().TotalAllocs(), 0u);
-  EXPECT_EQ(tree.NodeCount(), 0u);
-  EXPECT_EQ(tree.ApproxHeapBytes(), 0u);
-  ASSERT_TRUE(tree.Insert(7, 7).ok());
-  EXPECT_EQ(tree.arena_stats().live(), 1u);
-
-  tree = std::move(moved);
-  EXPECT_EQ(tree.arena_stats().live(), live);
-  EXPECT_EQ(tree.arena_stats().live(), tree.NodeCount());
-  ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-}
-
 TEST(BTreeArenaTest, ApproxHeapBytesCoversChunksAndBuffers) {
   CountedBTree tree(16);
   EXPECT_EQ(tree.ApproxHeapBytes(), 0u);
@@ -181,9 +159,7 @@ TEST(BTreeArenaTest, NodesAreCacheLineAligned) {
   epoch::EpochManager epoch;
   CountedBTree tree(4);
   tree.set_epoch(&epoch);
-  for (const Entry& e : MakeEntries(512)) {
-    ASSERT_TRUE(tree.Insert(e.key, e.value).ok());
-  }
+  ASSERT_TRUE(tree.BulkBuild(MakeEntries(512)).ok());
   const uint64_t nodes = tree.NodeCount();
   ASSERT_GT(nodes, 100u) << "want a tree deep enough to cover many slots";
 

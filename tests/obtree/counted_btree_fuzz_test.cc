@@ -8,6 +8,7 @@
 
 #include "common/random.h"
 #include "obtree/counted_btree.h"
+#include "single_key_writes.h"
 
 namespace ltree {
 namespace obtree {
@@ -27,21 +28,15 @@ TEST_P(BTreeFuzzTest, MatchesReferenceModel) {
     const uint64_t key = rng.Uniform(kKeySpace);
     const uint64_t action = rng.Uniform(10);
     if (action < 5) {
-      Status st = tree.Insert(key, op);
-      if (model.count(key) > 0) {
-        EXPECT_TRUE(st.IsAlreadyExists());
-      } else {
-        EXPECT_TRUE(st.ok());
-        model[key] = static_cast<uint64_t>(op);
-      }
+      // Insert, or overwrite a present key.
+      ASSERT_TRUE(Put(&tree, key, op).ok());
+      model[key] = static_cast<uint64_t>(op);
+      ASSERT_EQ(tree.size(), model.size()) << "op " << op;
     } else if (action < 8) {
-      Status st = tree.Delete(key);
-      if (model.count(key) > 0) {
-        EXPECT_TRUE(st.ok());
-        model.erase(key);
-      } else {
-        EXPECT_TRUE(st.IsNotFound());
-      }
+      // Erase; a no-op when the key is absent.
+      ASSERT_TRUE(Erase(&tree, key).ok());
+      model.erase(key);
+      ASSERT_EQ(tree.size(), model.size()) << "op " << op;
     } else if (action < 9) {
       Status st = tree.Update(key, op + 1000000);
       if (model.count(key) > 0) {
@@ -103,7 +98,7 @@ TEST_P(BTreeFuzzTest, ReplaceRangeMatchesModel) {
   // Seed with spread-out keys.
   for (uint64_t i = 0; i < 300; ++i) {
     const Label key = i * 100;
-    ASSERT_TRUE(tree.Insert(key, i).ok());
+    ASSERT_TRUE(Put(&tree, key, i).ok());
     model[key] = i;
   }
 

@@ -6,6 +6,8 @@
 
 #include <vector>
 
+#include "single_key_writes.h"
+
 namespace ltree {
 namespace obtree {
 namespace {
@@ -18,34 +20,31 @@ TEST(CountedBTreeTest, EmptyTree) {
   EXPECT_FALSE(tree.Select(0).ok());
   EXPECT_FALSE(tree.Begin().Valid());
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-  EXPECT_TRUE(tree.Delete(1).IsNotFound());
+  EXPECT_TRUE(Erase(&tree, 1).ok());  // absent key: a no-op
+  EXPECT_EQ(tree.size(), 0u);
   EXPECT_TRUE(tree.Update(1, 2).IsNotFound());
 }
 
 TEST(CountedBTreeTest, InsertAndLookup) {
   CountedBTree tree(4);
-  ASSERT_TRUE(tree.Insert(10, 100).ok());
-  ASSERT_TRUE(tree.Insert(5, 50).ok());
-  ASSERT_TRUE(tree.Insert(20, 200).ok());
+  ASSERT_TRUE(Put(&tree, 10, 100).ok());
+  ASSERT_TRUE(Put(&tree, 5, 50).ok());
+  ASSERT_TRUE(Put(&tree, 20, 200).ok());
   EXPECT_EQ(tree.size(), 3u);
   EXPECT_EQ(*tree.Lookup(10), 100u);
   EXPECT_EQ(*tree.Lookup(5), 50u);
   EXPECT_EQ(*tree.Lookup(20), 200u);
   EXPECT_TRUE(tree.Lookup(15).status().IsNotFound());
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
-}
-
-TEST(CountedBTreeTest, DuplicateInsertRejected) {
-  CountedBTree tree;
-  ASSERT_TRUE(tree.Insert(1, 1).ok());
-  EXPECT_TRUE(tree.Insert(1, 2).IsAlreadyExists());
-  EXPECT_EQ(tree.size(), 1u);
-  EXPECT_EQ(*tree.Lookup(1), 1u);
+  // Writing a present key overwrites its value in place.
+  ASSERT_TRUE(Put(&tree, 10, 101).ok());
+  EXPECT_EQ(tree.size(), 3u);
+  EXPECT_EQ(*tree.Lookup(10), 101u);
 }
 
 TEST(CountedBTreeTest, UpdateChangesValueOnly) {
   CountedBTree tree;
-  ASSERT_TRUE(tree.Insert(1, 1).ok());
+  ASSERT_TRUE(Put(&tree, 1, 1).ok());
   ASSERT_TRUE(tree.Update(1, 42).ok());
   EXPECT_EQ(*tree.Lookup(1), 42u);
   EXPECT_EQ(tree.size(), 1u);
@@ -54,7 +53,7 @@ TEST(CountedBTreeTest, UpdateChangesValueOnly) {
 TEST(CountedBTreeTest, ManySequentialInsertsSplit) {
   CountedBTree tree(4);
   for (uint64_t i = 0; i < 1000; ++i) {
-    ASSERT_TRUE(tree.Insert(i, i * 2).ok());
+    ASSERT_TRUE(Put(&tree, i, i * 2).ok());
   }
   EXPECT_EQ(tree.size(), 1000u);
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
@@ -66,7 +65,7 @@ TEST(CountedBTreeTest, ManySequentialInsertsSplit) {
 TEST(CountedBTreeTest, ReverseInserts) {
   CountedBTree tree(4);
   for (uint64_t i = 1000; i > 0; --i) {
-    ASSERT_TRUE(tree.Insert(i, i).ok());
+    ASSERT_TRUE(Put(&tree, i, i).ok());
   }
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   EXPECT_EQ(tree.CountLess(501), 500u);
@@ -75,7 +74,7 @@ TEST(CountedBTreeTest, ReverseInserts) {
 TEST(CountedBTreeTest, CountLessAndRangeCount) {
   CountedBTree tree(8);
   for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.Insert(i * 10, i).ok());  // keys 0,10,...,990
+    ASSERT_TRUE(Put(&tree, i * 10, i).ok());  // keys 0,10,...,990
   }
   EXPECT_EQ(tree.CountLess(0), 0u);
   EXPECT_EQ(tree.CountLess(1), 1u);
@@ -92,7 +91,7 @@ TEST(CountedBTreeTest, CountLessAndRangeCount) {
 TEST(CountedBTreeTest, SelectMatchesOrder) {
   CountedBTree tree(4);
   std::vector<Label> keys{5, 1, 9, 3, 7, 2, 8, 4, 6, 0};
-  for (Label k : keys) ASSERT_TRUE(tree.Insert(k, k * 100).ok());
+  for (Label k : keys) ASSERT_TRUE(Put(&tree, k, k * 100).ok());
   for (uint64_t r = 0; r < 10; ++r) {
     auto e = tree.Select(r);
     ASSERT_TRUE(e.ok());
@@ -104,7 +103,7 @@ TEST(CountedBTreeTest, SelectMatchesOrder) {
 
 TEST(CountedBTreeTest, LowerBoundAndPredecessor) {
   CountedBTree tree;
-  for (Label k : {10, 20, 30}) ASSERT_TRUE(tree.Insert(k, k).ok());
+  for (Label k : {10, 20, 30}) ASSERT_TRUE(Put(&tree, k, k).ok());
   EXPECT_EQ(tree.LowerBound(5)->key, 10u);
   EXPECT_EQ(tree.LowerBound(10)->key, 10u);
   EXPECT_EQ(tree.LowerBound(11)->key, 20u);
@@ -118,7 +117,7 @@ TEST(CountedBTreeTest, LowerBoundAndPredecessor) {
 TEST(CountedBTreeTest, IteratorFullScan) {
   CountedBTree tree(4);
   for (uint64_t i = 0; i < 257; ++i) {
-    ASSERT_TRUE(tree.Insert(i * 3, i).ok());
+    ASSERT_TRUE(Put(&tree, i * 3, i).ok());
   }
   uint64_t expect = 0;
   for (auto it = tree.Begin(); it.Valid(); it.Next()) {
@@ -132,7 +131,7 @@ TEST(CountedBTreeTest, IteratorFullScan) {
 TEST(CountedBTreeTest, SeekMidAndPastEnd) {
   CountedBTree tree(4);
   for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.Insert(i * 2, i).ok());  // even keys 0..198
+    ASSERT_TRUE(Put(&tree, i * 2, i).ok());  // even keys 0..198
   }
   auto it = tree.Seek(51);
   ASSERT_TRUE(it.Valid());
@@ -146,7 +145,7 @@ TEST(CountedBTreeTest, SeekMidAndPastEnd) {
 
 TEST(CountedBTreeTest, ScanRange) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 50; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
+  for (uint64_t i = 0; i < 50; ++i) ASSERT_TRUE(Put(&tree, i, i).ok());
   auto entries = tree.Scan(10, 20);
   ASSERT_EQ(entries.size(), 10u);
   EXPECT_EQ(entries.front().key, 10u);
@@ -156,34 +155,35 @@ TEST(CountedBTreeTest, ScanRange) {
 
 TEST(CountedBTreeTest, DeleteSimple) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
-  ASSERT_TRUE(tree.Delete(7).ok());
+  for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(Put(&tree, i, i).ok());
+  ASSERT_TRUE(Erase(&tree, 7).ok());
   EXPECT_EQ(tree.size(), 19u);
   EXPECT_FALSE(tree.Contains(7));
-  EXPECT_TRUE(tree.Delete(7).IsNotFound());
+  ASSERT_TRUE(Erase(&tree, 7).ok());  // absent key: a no-op
+  EXPECT_EQ(tree.size(), 19u);
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
 TEST(CountedBTreeTest, DeleteEverything) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
+  for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(Put(&tree, i, i).ok());
   for (uint64_t i = 0; i < 100; ++i) {
-    ASSERT_TRUE(tree.Delete(i).ok()) << i;
+    ASSERT_TRUE(Erase(&tree, i).ok()) << i;
     ASSERT_TRUE(tree.Validate().ok())
         << i << ": " << tree.Validate().ToString();
   }
   EXPECT_EQ(tree.size(), 0u);
   EXPECT_FALSE(tree.Begin().Valid());
   // Tree is reusable afterwards.
-  ASSERT_TRUE(tree.Insert(5, 5).ok());
+  ASSERT_TRUE(Put(&tree, 5, 5).ok());
   EXPECT_EQ(tree.size(), 1u);
 }
 
 TEST(CountedBTreeTest, DeleteReverseOrder) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
+  for (uint64_t i = 0; i < 100; ++i) ASSERT_TRUE(Put(&tree, i, i).ok());
   for (uint64_t i = 100; i > 0; --i) {
-    ASSERT_TRUE(tree.Delete(i - 1).ok());
+    ASSERT_TRUE(Erase(&tree, i - 1).ok());
     ASSERT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   }
   EXPECT_EQ(tree.size(), 0u);
@@ -198,8 +198,8 @@ TEST(CountedBTreeTest, BulkBuildMatchesInserts) {
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
   EXPECT_EQ(tree.ScanAll(), entries);
   // Post-build mutations work.
-  ASSERT_TRUE(tree.Insert(3, 999).ok());
-  ASSERT_TRUE(tree.Delete(0).ok());
+  ASSERT_TRUE(Put(&tree, 3, 999).ok());
+  ASSERT_TRUE(Erase(&tree, 0).ok());
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
 
@@ -225,7 +225,7 @@ TEST(CountedBTreeTest, BulkBuildSmallSizes) {
 
 TEST(CountedBTreeTest, ReplaceRangeBasic) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 10; ++i) ASSERT_TRUE(tree.Insert(i * 10, i).ok());
+  for (uint64_t i = 0; i < 10; ++i) ASSERT_TRUE(Put(&tree, i * 10, i).ok());
   // Replace keys in [20, 60) (20,30,40,50) by two denser keys.
   std::vector<Entry> repl{{25, 100}, {26, 101}};
   ASSERT_TRUE(tree.ReplaceRange(20, 60, repl).ok());
@@ -241,7 +241,7 @@ TEST(CountedBTreeTest, ReplaceRangeBasic) {
 
 TEST(CountedBTreeTest, ReplaceRangeValidation) {
   CountedBTree tree;
-  ASSERT_TRUE(tree.Insert(5, 5).ok());
+  ASSERT_TRUE(Put(&tree, 5, 5).ok());
   std::vector<Entry> outside{{99, 0}};
   EXPECT_TRUE(tree.ReplaceRange(0, 10, outside).IsInvalidArgument());
   std::vector<Entry> unsorted{{7, 0}, {6, 0}};
@@ -254,7 +254,7 @@ TEST(CountedBTreeTest, ReplaceRangeValidation) {
 
 TEST(CountedBTreeTest, ReplaceRangeEmptyRangeIsNoop) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 10; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
+  for (uint64_t i = 0; i < 10; ++i) ASSERT_TRUE(Put(&tree, i, i).ok());
   ASSERT_TRUE(tree.ReplaceRange(5, 5, {}).ok());
   EXPECT_EQ(tree.size(), 10u);
   EXPECT_TRUE(tree.Contains(5));
@@ -267,7 +267,7 @@ TEST(CountedBTreeTest, ReplaceRangeEmptyRangeIsNoop) {
 
 TEST(CountedBTreeTest, ReplaceRangeEmptyReplacement) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
+  for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(Put(&tree, i, i).ok());
   ASSERT_TRUE(tree.ReplaceRange(5, 15, {}).ok());
   EXPECT_EQ(tree.size(), 10u);
   EXPECT_TRUE(tree.Contains(4));
@@ -278,7 +278,7 @@ TEST(CountedBTreeTest, ReplaceRangeEmptyReplacement) {
 
 TEST(CountedBTreeTest, ReplaceRangeEraseToEmptyAndRefill) {
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(tree.Insert(i, i).ok());
+  for (uint64_t i = 0; i < 20; ++i) ASSERT_TRUE(Put(&tree, i, i).ok());
   // Pure range erase of everything empties the tree.
   ASSERT_TRUE(tree.ReplaceRange(0, 100, {}).ok());
   EXPECT_EQ(tree.size(), 0u);
@@ -297,7 +297,7 @@ TEST(CountedBTreeTest, ReplaceRangeGrowsAndShrinksTheTree) {
   // (possibly in height), and a sparse one must shrink it, with counts and
   // occupancy intact either way.
   CountedBTree tree(4);
-  for (uint64_t i = 0; i < 50; ++i) ASSERT_TRUE(tree.Insert(i * 100, i).ok());
+  for (uint64_t i = 0; i < 50; ++i) ASSERT_TRUE(Put(&tree, i * 100, i).ok());
   std::vector<Entry> dense;
   for (uint64_t i = 0; i < 400; ++i) dense.push_back({1000 + i, i});
   ASSERT_TRUE(tree.ReplaceRange(1000, 2000, dense).ok());
@@ -309,18 +309,6 @@ TEST(CountedBTreeTest, ReplaceRangeGrowsAndShrinksTheTree) {
   EXPECT_EQ(*tree.Lookup(1500), 7u);
   EXPECT_TRUE(tree.Validate().ok()) << tree.Validate().ToString();
 }
-
-TEST(CountedBTreeTest, MoveConstruction) {
-  CountedBTree a(4);
-  ASSERT_TRUE(a.Insert(1, 1).ok());
-  CountedBTree b(std::move(a));
-  EXPECT_EQ(b.size(), 1u);
-  CountedBTree c(8);
-  c = std::move(b);
-  EXPECT_EQ(c.size(), 1u);
-  EXPECT_EQ(*c.Lookup(1), 1u);
-}
-
 
 TEST(CountedBTreeTest, BulkBuildAllSizesMeetOccupancy) {
   // Regression: a small tail used to be split into two under-minimum

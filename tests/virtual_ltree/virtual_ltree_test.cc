@@ -15,7 +15,8 @@ class VirtualLTreeTestPeer {
  public:
   static Status InsertSlot(VirtualLTree* vt, Label label, LeafCookie cookie,
                            bool deleted) {
-    return vt->btree_.Insert(label, VirtualLTree::PackValue(cookie, deleted));
+    const obtree::Entry slot{label, VirtualLTree::PackValue(cookie, deleted)};
+    return vt->btree_.ReplaceRange(label, label + 1, {&slot, 1});
   }
 };
 
