@@ -23,7 +23,7 @@ struct LTreeAuditContext {
   const PowerTable* powers;
   audit::Report* report;
   uint64_t leaf_slots = 0;
-  uint64_t live = 0;
+  uint64_t unerased_leaves = 0;
   uint64_t reachable_nodes = 0;
   Label prev_label = 0;
   bool saw_leaf = false;
@@ -74,7 +74,7 @@ void AuditNode(const Node* node, const Node* expected_parent,
     ctx->prev_label = node->num;
     ctx->saw_leaf = true;
     ++ctx->leaf_slots;
-    if (!node->deleted) ++ctx->live;
+    if (!node->deleted) ++ctx->unerased_leaves;
     return;
   }
 
@@ -200,11 +200,11 @@ audit::Report LTree::Validate() const {
   }
   // Tombstone accounting: the live counter must equal leaf slots minus
   // tombstones, which the walk counts directly.
-  if (ctx.live != num_live_leaves()) {
+  if (ctx.unerased_leaves != num_live_leaves()) {
     report.Add("ltree:/", "live-count",
                StrFormat("num_live_leaves() %llu != actual live leaves %llu",
                          static_cast<unsigned long long>(num_live_leaves()),
-                         static_cast<unsigned long long>(ctx.live)));
+                         static_cast<unsigned long long>(ctx.unerased_leaves)));
   }
   // Label resolution: the arithmetic num(w) descent must resolve every
   // leaf's label (tombstoned or not) back to exactly that leaf — this is

@@ -463,8 +463,9 @@ void LTree::Relabel(Node* t, Label num, uint32_t from_child,
   if (t->IsLeaf()) {
     if (t->num != num) {
       if (t->num != kInvalidLabel) {
+        // A tombstone's relabel is paper cost, but nobody can read it.
         if (count_stats) ++stats_.leaves_relabeled;
-        if (listener_ != nullptr) {
+        if (listener_ != nullptr && !t->deleted) {
           listener_->OnRelabel(t->cookie, t->num, num);
         }
       }

@@ -15,31 +15,22 @@ namespace ltree {
 /// Sentinel for "label not yet assigned".
 inline constexpr Label kInvalidLabel = ~Label{0};
 
-/// Callbacks fired by a labeling scheme as its label state evolves, so
+/// Callback fired by a labeling scheme as its label state evolves, so
 /// external indexes (the label column of a node table, a replication
 /// change-feed) can be kept in sync. Bulk loading assigns initial labels
-/// and does not fire the listener; incremental maintenance does.
+/// and does not fire the listener; incremental maintenance does. Erasing
+/// fires nothing: the caller of LabelStore::Erase already knows the item.
 class RelabelListener {
  public:
   virtual ~RelabelListener() = default;
 
-  /// An existing item's label changed during relabeling. Never fired for
-  /// the item an insertion is currently adding (the caller knows its label
-  /// from the returned handle). Tombstoning schemes may fire this for
-  /// already erased items whose slots a rebuild shuffles — consumers that
-  /// only track live state must filter on their own liveness records.
+  /// A live item's label changed during relabeling. Never fired for the
+  /// item an insertion is currently adding (the caller knows its label
+  /// from the returned handle), nor for erased items: a tombstone that a
+  /// rebuild moves still counts in the scheme's stats, but no one outside
+  /// the scheme can read its label.
   virtual void OnRelabel(LeafCookie cookie, Label old_label,
                          Label new_label) = 0;
-
-  /// An item left the order through LabelStore::Erase, with the label it
-  /// held at that moment. Default no-op so relabel-only consumers (the
-  /// docstore's node table) are unaffected; outward-facing consumers (the
-  /// sharded store's per-shard change-feeds) override it to version erase
-  /// events alongside relabels.
-  virtual void OnErase(LeafCookie cookie, Label last_label) {
-    (void)cookie;
-    (void)last_label;
-  }
 };
 
 }  // namespace ltree

@@ -106,8 +106,8 @@ void LabeledDocument::OnRelabel(LeafCookie cookie, Label old_label,
   (void)old_label;
   const xml::NodeId id = cookie >> 1;
   // Only live elements have a row: text nodes have no end leaf, and the
-  // leaves of fresh, deleted or tombstoned nodes are not (or no longer)
-  // registered.
+  // leaves of fresh or deleted nodes are not (or no longer) registered.
+  // Schemes never report erased leaves.
   if (id >= leaves_.size() || leaves_[id].end == kInvalidItemHandle) return;
   Status st = (cookie & 1) != 0 ? table_.UpdateEnd(id, new_label)
                                 : table_.UpdateStart(id, new_label);

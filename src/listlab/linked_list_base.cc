@@ -131,7 +131,6 @@ Status LinkedListScheme::EraseImpl(ItemHandle h) {
   Unlink(item);
   item->erased = true;
   ++stats_.erases;
-  if (listener_ != nullptr) listener_->OnErase(item->cookie, item->label);
   AutoValidate("Erase");
   return Status::OK();
 }

@@ -147,12 +147,9 @@ Status LTreeStore::EraseImpl(ItemHandle h) {
   if ((bits & kErasedBit) != 0) {
     return Status::FailedPrecondition("item handle already erased");
   }
-  const auto leaf = reinterpret_cast<LTree::LeafHandle>(bits);
-  const LeafCookie cookie = tree_->cookie(leaf);
-  const Label last_label = tree_->label(leaf);
-  LTREE_RETURN_IF_ERROR(tree_->MarkDeleted(leaf));
+  LTREE_RETURN_IF_ERROR(
+      tree_->MarkDeleted(reinterpret_cast<LTree::LeafHandle>(bits)));
   slots_[h].store(bits | kErasedBit, std::memory_order_release);
-  if (listener_ != nullptr) listener_->OnErase(cookie, last_label);
   AutoValidate("Erase");
   return Status::OK();
 }
@@ -404,10 +401,8 @@ Status VirtualLTreeStore::EraseImpl(ItemHandle h) {
   if (slot.erased.load(std::memory_order_relaxed)) {
     return Status::FailedPrecondition("item handle already erased");
   }
-  const Label label = slot.label.load();
-  LTREE_RETURN_IF_ERROR(tree_->MarkDeleted(label));
+  LTREE_RETURN_IF_ERROR(tree_->MarkDeleted(slot.label.load()));
   slot.erased.store(true, std::memory_order_release);
-  if (listener_ != nullptr) listener_->OnErase(slot.cookie.load(), label);
   AutoValidate("Erase");
   return Status::OK();
 }
@@ -427,14 +422,12 @@ Result<LeafCookie> VirtualLTreeStore::GetCookie(ItemHandle h) const {
 
 void VirtualLTreeStore::SnapshotImpl(
     std::vector<std::pair<Label, LeafCookie>>* out) const {
-  const std::vector<Label> labels = tree_->LiveLabels();
-  out->reserve(out->size() + labels.size());
-  for (const Label label : labels) {
+  const auto live = tree_->LiveLabels();
+  out->reserve(out->size() + live.size());
+  for (const auto& [label, handle] : live) {
     // The tree's cookie for a label is our handle; the client payload
     // lives in the slot.
-    auto handle = tree_->GetCookie(label);
-    LTREE_CHECK(handle.ok());
-    out->emplace_back(label, slots_[*handle].cookie.load());
+    out->emplace_back(label, slots_[handle].cookie.load());
   }
 }
 

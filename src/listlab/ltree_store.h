@@ -177,7 +177,8 @@ class VirtualLTreeStore : public LabelStore, private RelabelListener {
  private:
   /// Per-handle state, one published slot per handle ever issued. All
   /// fields are atomic so guarded readers can load them lock-free; the
-  /// writer keeps label current through OnRelabel.
+  /// writer keeps label current through OnRelabel until the item is
+  /// erased, after which nothing reads it.
   struct VSlot {
     AtomicCell<Label> label;
     AtomicCell<LeafCookie> cookie;

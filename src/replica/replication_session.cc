@@ -146,9 +146,10 @@ ReplicationSession::Attempt ReplicationSession::TryOnce(uint32_t shard,
   const Status applied = mirror_->ApplyCatchUp(shard, *result);
   if (!applied.ok()) {
     // Checksummed, well-formed, addressed to us — and still semantically
-    // wrong (sequence gap, unknown cookie, double apply). The mirror's
-    // strict apply protocol is the last line of defense; repeated hits
-    // poison the session.
+    // wrong (sequence gap, unknown cookie, double apply, a snapshot with a
+    // repeated cookie or unordered labels). The mirror's strict apply
+    // protocol is the last line of defense; repeated hits poison the
+    // session.
     return Violation(applied, error);
   }
 

@@ -5,8 +5,8 @@
 //
 //   * kInsert  — a new item entered the order at `new_label`;
 //   * kRelabel — an existing live item moved `old_label` -> `new_label`
-//     (tombstone shuffles are filtered out by the DocumentStore's feed tap
-//     — the feed describes the evolution of the *live* label state);
+//     (schemes never report erased items, so the feed describes the
+//     evolution of the *live* label state);
 //   * kErase   — an item left the order, last holding `old_label`.
 //
 // The log is bounded: past `capacity` retained events the oldest are

@@ -11,25 +11,22 @@
 namespace ltree {
 namespace store {
 
-// One shard: the labeling scheme, its versioned feed, and the live-item
-// registry (cookie -> handle/doc). The ctx is itself the scheme's
-// RelabelListener — the "feed tap" that turns listener callbacks into
-// versioned feed events. Relabels of tombstoned slots (cookies no longer
-// in `live`) are filtered out so the feed tracks live state only.
+// One shard: the labeling scheme and its versioned feed. The ctx is itself
+// the scheme's RelabelListener — the "feed tap" that turns relabels into
+// versioned feed events. Schemes report live items only, so the one thing
+// the tap drops is a relabel of an item the call in flight is inserting
+// (cookie >= next_cookie_; only per-item batch fallbacks make them): its
+// kInsert, published once the call returns, already carries its label.
 struct DocumentStore::ShardCtx : RelabelListener {
-  struct LiveItem {
-    listlab::ItemHandle handle = listlab::kInvalidItemHandle;
-    DocId doc = 0;
-  };
-
-  ShardCtx(std::unique_ptr<listlab::LabelStore> s, uint64_t feed_capacity)
-      : store(std::move(s)), feed(feed_capacity) {
+  ShardCtx(std::unique_ptr<listlab::LabelStore> s, uint64_t feed_capacity,
+           const LeafCookie& next)
+      : store(std::move(s)), feed(feed_capacity), next_cookie(next) {
     store->set_listener(this);
   }
 
   void OnRelabel(LeafCookie cookie, Label old_label,
                  Label new_label) override {
-    if (live.find(cookie) == live.end()) return;  // tombstone shuffle
+    if (cookie >= next_cookie) return;  // not yet published
     feed.Append({.kind = FeedEvent::Kind::kRelabel,
                  .cookie = cookie,
                  .old_label = old_label,
@@ -37,18 +34,9 @@ struct DocumentStore::ShardCtx : RelabelListener {
     ++relabels_published;
   }
 
-  void OnErase(LeafCookie cookie, Label last_label) override {
-    if (live.find(cookie) == live.end()) return;  // rolled-back batch item
-    feed.Append({.kind = FeedEvent::Kind::kErase,
-                 .cookie = cookie,
-                 .old_label = last_label,
-                 .new_label = kInvalidLabel});
-    ++erases_published;
-  }
-
   std::unique_ptr<listlab::LabelStore> store;
   ChangeFeed feed;
-  std::unordered_map<LeafCookie, LiveItem> live;
+  const LeafCookie& next_cookie;  ///< the store's next_cookie_
   uint64_t inserts_published = 0;
   uint64_t erases_published = 0;
   uint64_t relabels_published = 0;
@@ -74,7 +62,8 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Make(
   out->shards_.reserve(options.num_shards);
   for (auto& scheme : schemes) {
     out->shards_.push_back(
-        std::make_unique<ShardCtx>(std::move(scheme), options.feed_capacity));
+        std::make_unique<ShardCtx>(std::move(scheme), options.feed_capacity,
+                                   out->next_cookie_));
   }
   return out;
 }
@@ -103,11 +92,7 @@ Status DocumentStore::DropDocument(DocId doc) {
   LTREE_ASSIGN_OR_RETURN(DocState * state, FindDoc(doc));
   ShardCtx& ctx = *shards_[state->shard];
   for (const listlab::ItemHandle handle : state->items) {
-    LTREE_ASSIGN_OR_RETURN(const LeafCookie cookie,
-                           ctx.store->GetCookie(handle));
-    LTREE_RETURN_IF_ERROR(ctx.store->Erase(handle));  // tap publishes kErase
-    ctx.live.erase(cookie);
-    ++ledger_.erases;
+    LTREE_RETURN_IF_ERROR(EraseOne(ctx, handle));
   }
   docs_.erase(doc);
   AutoValidate("DropDocument");
@@ -138,15 +123,27 @@ Result<const DocumentStore::DocState*> DocumentStore::FindDoc(
   return &it->second;
 }
 
-void DocumentStore::PublishInsert(ShardCtx& ctx, DocId doc, LeafCookie cookie,
+void DocumentStore::PublishInsert(ShardCtx& ctx, LeafCookie cookie,
                                   listlab::ItemHandle handle) {
   ctx.feed.Append({.kind = FeedEvent::Kind::kInsert,
                    .cookie = cookie,
                    .old_label = kInvalidLabel,
                    .new_label = ctx.store->GetLabel(handle).ValueOrDie()});
   ++ctx.inserts_published;
-  ctx.live[cookie] = {.handle = handle, .doc = doc};
   ++ledger_.inserts;
+}
+
+Status DocumentStore::EraseOne(ShardCtx& ctx, listlab::ItemHandle handle) {
+  LTREE_ASSIGN_OR_RETURN(const LeafCookie cookie, ctx.store->GetCookie(handle));
+  LTREE_ASSIGN_OR_RETURN(const Label label, ctx.store->GetLabel(handle));
+  LTREE_RETURN_IF_ERROR(ctx.store->Erase(handle));
+  ctx.feed.Append({.kind = FeedEvent::Kind::kErase,
+                   .cookie = cookie,
+                   .old_label = label,
+                   .new_label = kInvalidLabel});
+  ++ctx.erases_published;
+  ++ledger_.erases;
+  return Status::OK();
 }
 
 Result<LeafCookie> DocumentStore::InsertOne(DocId doc, uint64_t rank,
@@ -179,7 +176,7 @@ Result<LeafCookie> DocumentStore::InsertOne(DocId doc, uint64_t rank,
                                           : rank + 1;
   state->items.insert(state->items.begin() + static_cast<ptrdiff_t>(at),
                       *inserted);
-  PublishInsert(ctx, doc, cookie, *inserted);
+  PublishInsert(ctx, cookie, *inserted);
   AutoValidate("Insert");
   return cookie;
 }
@@ -232,7 +229,7 @@ Status DocumentStore::InsertBatchAfterRank(DocId doc, uint64_t rank,
   state->items.insert(state->items.begin() + static_cast<ptrdiff_t>(at),
                       handles.begin(), handles.end());
   for (uint64_t i = 0; i < count; ++i) {
-    PublishInsert(ctx, doc, fresh[i], handles[i]);
+    PublishInsert(ctx, fresh[i], handles[i]);
   }
   if (cookies != nullptr) {
     cookies->insert(cookies->end(), fresh.begin(), fresh.end());
@@ -249,13 +246,8 @@ Status DocumentStore::EraseAt(DocId doc, uint64_t rank) {
                               " out of range for document of size " +
                               std::to_string(state->items.size()));
   }
-  ShardCtx& ctx = *shards_[state->shard];
-  const listlab::ItemHandle handle = state->items[rank];
-  LTREE_ASSIGN_OR_RETURN(const LeafCookie cookie, ctx.store->GetCookie(handle));
-  LTREE_RETURN_IF_ERROR(ctx.store->Erase(handle));  // tap publishes kErase
-  ctx.live.erase(cookie);
+  LTREE_RETURN_IF_ERROR(EraseOne(*shards_[state->shard], state->items[rank]));
   state->items.erase(state->items.begin() + static_cast<ptrdiff_t>(rank));
-  ++ledger_.erases;
   AutoValidate("EraseAt");
   return Status::OK();
 }
@@ -316,20 +308,10 @@ listlab::LabelStore::ReadGuard DocumentStore::AcquireShardRead(
 
 std::vector<std::pair<Label, LeafCookie>> DocumentStore::ShardState(
     uint32_t shard) const {
-  const ShardCtx& ctx = *shards_[shard];
-  // One guard over all the label reads: the snapshot stays consistent even
-  // if another thread is mutating a *different* shard, and label loads are
-  // safe against this shard's writer (ctx.live itself is store-level state
-  // and still relies on the store's thread-compatible contract).
-  const listlab::LabelStore::ReadGuard guard = ctx.store->AcquireRead();
-  std::vector<std::pair<Label, LeafCookie>> out;
-  out.reserve(ctx.live.size());
-  for (const auto& [cookie, item] : ctx.live) {
-    out.emplace_back(ctx.store->LabelOf(guard, item.handle).ValueOrDie(),
-                     cookie);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
+  // The scheme's own scan is label-ordered and runs under one guard, so the
+  // snapshot is consistent against this shard's writer.
+  const listlab::LabelStore& store = *shards_[shard]->store;
+  return store.ScanAll(store.AcquireRead());
 }
 
 // ----------------------------------------------------------- change-feed sync
@@ -486,8 +468,10 @@ void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
                   "docstore:/shard" + std::to_string(i) + "/feed");
   }
 
-  // shard-routing: registry <-> shards form a bijection.
-  std::vector<uint64_t> items_per_shard(shards_.size(), 0);
+  // shard-routing: the registry holds exactly each shard scheme's live
+  // items — every registered handle resolves, none is registered twice,
+  // and the per-shard counts agree.
+  std::vector<std::vector<listlab::ItemHandle>> registered(shards_.size());
   for (const auto& [doc, state] : docs_) {
     const std::string doc_path = "docstore:/doc" + std::to_string(doc);
     if (state.shard >= shards_.size()) {
@@ -502,40 +486,33 @@ void DocumentStore::ValidateStoreLevel(audit::Report* out) const {
                      " but registry holds shard " +
                      std::to_string(state.shard));
     }
-    const ShardCtx& ctx = *shards_[state.shard];
-    items_per_shard[state.shard] += state.items.size();
+    const listlab::LabelStore& store = *shards_[state.shard]->store;
     for (const listlab::ItemHandle handle : state.items) {
-      const auto cookie = ctx.store->GetCookie(handle);
+      const auto cookie = store.GetCookie(handle);
       if (!cookie.ok()) {
         report.Add(doc_path, "shard-routing",
                    "item handle " + std::to_string(handle) +
                        " does not resolve in its shard store: " +
                        cookie.status().ToString());
-        continue;
       }
-      const auto live = ctx.live.find(*cookie);
-      if (live == ctx.live.end() || live->second.handle != handle ||
-          live->second.doc != doc) {
-        report.Add(doc_path, "shard-routing",
-                   "cookie " + std::to_string(*cookie) +
-                       " not registered to this document/handle in the "
-                       "shard live table");
-      }
+      registered[state.shard].push_back(handle);
     }
   }
   for (uint32_t i = 0; i < num_shards(); ++i) {
     const ShardCtx& ctx = *shards_[i];
     const std::string path = "docstore:/shard" + std::to_string(i);
-    if (items_per_shard[i] != ctx.live.size()) {
+    std::vector<listlab::ItemHandle>& handles = registered[i];
+    std::sort(handles.begin(), handles.end());
+    const auto twice = std::adjacent_find(handles.begin(), handles.end());
+    if (twice != handles.end()) {
       report.Add(path, "shard-routing",
-                 "documents register " + std::to_string(items_per_shard[i]) +
-                     " items but the live table holds " +
-                     std::to_string(ctx.live.size()));
+                 "item handle " + std::to_string(*twice) +
+                     " is registered more than once");
     }
-    if (ctx.live.size() != ctx.store->size()) {
+    if (handles.size() != ctx.store->size()) {
       report.Add(path, "shard-routing",
-                 "live table holds " + std::to_string(ctx.live.size()) +
-                     " cookies but the scheme reports " +
+                 "documents register " + std::to_string(handles.size()) +
+                     " items but the scheme reports " +
                      std::to_string(ctx.store->size()) + " live items");
     }
     // feed publication counters vs the feed's own sequence clock.

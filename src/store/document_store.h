@@ -12,10 +12,10 @@
 // ChangeFeed (change_feed.h) with a per-shard sequence number —
 //
 //   * kInsert / kErase events are appended by this store around the
-//     LabelStore call (erase via the RelabelListener::OnErase hook);
-//   * kRelabel events flow from the scheme's RelabelListener; relabels of
-//     tombstoned (already erased) slots are filtered out, so the feed
-//     describes exactly the evolution of the live label state;
+//     LabelStore call;
+//   * kRelabel events flow from the scheme's RelabelListener, which reports
+//     live items only, so the feed describes exactly the evolution of the
+//     live label state;
 //
 // and a subscriber holding a StateVector (shard -> last applied seq) calls
 // CatchUp(shard, seq) to receive either the missing event suffix or — when
@@ -158,7 +158,9 @@ class DocumentStore {
   listlab::LabelStore::ReadGuard AcquireShardRead(uint32_t shard) const;
 
   /// The shard's live (label, cookie) pairs, label-ordered — the snapshot
-  /// payload of CatchUp and the equivalence baseline for mirrors.
+  /// payload of CatchUp and the equivalence baseline for mirrors. One
+  /// ScanAll of the shard's scheme, so it may run while a writer mutates
+  /// that shard.
   std::vector<std::pair<Label, LeafCookie>> ShardState(uint32_t shard) const;
 
   // ----------------------------------------------------- change-feed sync
@@ -213,8 +215,9 @@ class DocumentStore {
   /// Store-level deep audit. Absorbs each shard scheme's Validate() and
   /// feed continuity audit, then checks the subsystem rules:
   ///   * "shard-routing"  — every document resolves to exactly the shard
-  ///     that holds its items; handles, cookies and the per-shard live
-  ///     registry form a bijection; live counts conserve;
+  ///     that holds its items; every registered handle resolves in that
+  ///     shard's scheme, none is registered twice, and each shard's
+  ///     registered count equals its scheme's live count;
   ///   * "feed-continuity" — per-shard sequence numbers are contiguous in
   ///     the retained window and conserve against the trim counter;
   ///   * "stats-rollup"   — per-shard MaintStats sums, the store's own
@@ -255,8 +258,11 @@ class DocumentStore {
   /// assignment, registry update, feed publication.
   Result<LeafCookie> InsertOne(DocId doc, uint64_t rank, bool before,
                                bool append);
-  void PublishInsert(ShardCtx& ctx, DocId doc, LeafCookie cookie,
+  void PublishInsert(ShardCtx& ctx, LeafCookie cookie,
                      listlab::ItemHandle handle);
+  /// Erases one item from its shard scheme and publishes its kErase; the
+  /// caller drops the handle from the document registry.
+  Status EraseOne(ShardCtx& ctx, listlab::ItemHandle handle);
   // Feed continuity + shard-routing + stats-rollup, without the per-shard
   // scheme deep audits; this is what AutoValidate re-runs per mutation.
   void ValidateStoreLevel(audit::Report* out) const;

@@ -47,11 +47,25 @@ Status MirrorStore::ApplyCatchUp(uint32_t shard, const CatchUpResult& result) {
     return Status::InvalidArgument("unknown shard " + std::to_string(shard));
   }
   if (result.snapshot) {
-    // Snapshot replaces the shard wholesale — correct from any position.
-    auto& live = shards_[shard];
-    live.clear();
+    // Snapshot replaces the shard wholesale — correct from any position,
+    // but only if it is one: strictly increasing labels, distinct cookies.
+    // Anything else leaves the shard and its position untouched.
+    std::unordered_map<LeafCookie, Label> live;
     live.reserve(result.state.size());
-    for (const auto& [label, cookie] : result.state) live[cookie] = label;
+    for (size_t i = 0; i < result.state.size(); ++i) {
+      const auto& [label, cookie] = result.state[i];
+      if (i > 0 && label <= result.state[i - 1].first) {
+        return Status::Corruption("shard " + std::to_string(shard) +
+                                  ": snapshot labels out of order at entry " +
+                                  std::to_string(i));
+      }
+      if (!live.emplace(cookie, label).second) {
+        return Status::Corruption("shard " + std::to_string(shard) +
+                                  ": snapshot repeats cookie " +
+                                  std::to_string(cookie));
+      }
+    }
+    shards_[shard] = std::move(live);
     state_.Set(shard, result.to_seq);
     ++snapshot_syncs_;
     return Status::OK();

@@ -13,10 +13,12 @@
 // sequences match the primary exactly.
 //
 // Apply-time protocol checks are strict: a delta that does not start right
-// after the mirror's position, a relabel/erase for an unknown cookie, or an
-// insert for a cookie already present all fail with Corruption-class errors
-// instead of being papered over — the mirror doubles as an end-to-end
-// auditor of the feed contents.
+// after the mirror's position, a relabel/erase for an unknown cookie, an
+// insert for a cookie already present, or a snapshot whose labels are not
+// strictly increasing or whose cookies repeat all fail with Corruption-class
+// errors instead of being papered over — the mirror doubles as an
+// end-to-end auditor of the feed contents. A rejected snapshot leaves the
+// shard and its position unchanged.
 
 #ifndef LTREE_STORE_MIRROR_STORE_H_
 #define LTREE_STORE_MIRROR_STORE_H_

@@ -163,6 +163,14 @@ uint64_t VirtualLTree::MaybePurge(std::vector<obtree::Entry>* entries) {
   return purged;
 }
 
+void VirtualLTree::Relabeled(const obtree::Entry& old, Label new_label) {
+  // A tombstone's relabel is paper cost, but nobody can read it.
+  ++stats_.labels_rewritten;
+  if (listener_ != nullptr && !UnpackDeleted(old.value)) {
+    listener_->OnRelabel(UnpackCookie(old.value), old.key, new_label);
+  }
+}
+
 Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
                                         Label insert_before_key,
                                         std::span<const obtree::Entry> pending,
@@ -262,11 +270,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
       if (old.key == kInvalidLabel) {
         if (fresh_labels != nullptr) fresh_labels->push_back(assigned[i]);
       } else if (old.key != assigned[i]) {
-        ++stats_.labels_rewritten;
-        if (listener_ != nullptr) {
-          listener_->OnRelabel(UnpackCookie(old.value), old.key,
-                               assigned[i]);
-        }
+        Relabeled(old, assigned[i]);
       }
     }
     // The root split is a whole-tree range replacement; ReplaceRange
@@ -322,10 +326,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
     if (old.key == kInvalidLabel) {
       if (fresh_labels != nullptr) fresh_labels->push_back(assigned[i]);
     } else if (old.key != assigned[i]) {
-      ++stats_.labels_rewritten;
-      if (listener_ != nullptr) {
-        listener_->OnRelabel(UnpackCookie(old.value), old.key, assigned[i]);
-      }
+      Relabeled(old, assigned[i]);
     }
   }
   // Right siblings of v within the parent interval shift wholesale.
@@ -334,13 +335,7 @@ Status VirtualLTree::RebuildWithPending(uint32_t vh, Label anchor,
   const uint64_t shift = (m - 1) * interval;
   for (const auto& sib : sibs) {
     rebuilt.push_back({sib.key + shift, sib.value});
-    if (shift != 0) {
-      ++stats_.labels_rewritten;
-      if (listener_ != nullptr) {
-        listener_->OnRelabel(UnpackCookie(sib.value), sib.key,
-                             sib.key + shift);
-      }
-    }
+    if (shift != 0) Relabeled(sib, sib.key + shift);
   }
   LTREE_RETURN_IF_ERROR(
       btree_.ReplaceRange(v_base, q_base + q_interval, rebuilt));
@@ -390,10 +385,7 @@ Status VirtualLTree::InsertCore(Label parent_base, uint64_t j,
       const Label shifted = old.key + k;
       LTREE_CHECK(shifted < slot_end);
       rebuilt.push_back({shifted, old.value});
-      ++stats_.labels_rewritten;
-      if (listener_ != nullptr) {
-        listener_->OnRelabel(UnpackCookie(old.value), old.key, shifted);
-      }
+      Relabeled(old, shifted);
     }
     LTREE_RETURN_IF_ERROR(
         btree_.ReplaceRange(parent_base + j, slot_end, rebuilt));
@@ -543,10 +535,13 @@ std::vector<Label> VirtualLTree::AllLabels() const {
   return out;
 }
 
-std::vector<Label> VirtualLTree::LiveLabels() const {
-  std::vector<Label> out;
+std::vector<std::pair<Label, LeafCookie>> VirtualLTree::LiveLabels() const {
+  std::vector<std::pair<Label, LeafCookie>> out;
+  out.reserve(live_leaves_);
   for (const auto& e : btree_.ScanAll()) {
-    if (!UnpackDeleted(e.value)) out.push_back(e.key);
+    if (!UnpackDeleted(e.value)) {
+      out.emplace_back(e.key, UnpackCookie(e.value));
+    }
   }
   return out;
 }

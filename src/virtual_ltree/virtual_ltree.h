@@ -25,6 +25,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/result.h"
@@ -132,7 +133,8 @@ class VirtualLTree {
   uint32_t label_bits() const;
 
   std::vector<Label> AllLabels() const;
-  std::vector<Label> LiveLabels() const;
+  /// (label, cookie) of every live leaf, in label order: one B+-tree scan.
+  std::vector<std::pair<Label, LeafCookie>> LiveLabels() const;
 
   const Params& params() const { return params_; }
 
@@ -198,6 +200,10 @@ class VirtualLTree {
                             Label insert_before_key,
                             std::span<const obtree::Entry> pending,
                             std::vector<Label>* fresh_labels);
+
+  /// Counts one rewritten label and reports it to the listener unless the
+  /// entry is a tombstone.
+  void Relabeled(const obtree::Entry& old, Label new_label);
 
   /// Drops tombstoned entries if purging is enabled (keeps >= 1 entry).
   uint64_t MaybePurge(std::vector<obtree::Entry>* entries);

@@ -15,6 +15,7 @@
 
 #include "common/random.h"
 #include "store/document_store.h"
+#include "store/mirror_store.h"
 #include "workload/update_stream.h"
 
 namespace ltree {
@@ -31,6 +32,10 @@ class DocumentStoreTestPeer {
   static void AddPhantomItem(DocumentStore* s, DocId doc,
                              listlab::ItemHandle handle) {
     s->docs_[doc].items.push_back(handle);
+  }
+  static void RegisterFirstItemTwice(DocumentStore* s, DocId doc) {
+    std::vector<listlab::ItemHandle>& items = s->docs_[doc].items;
+    items.back() = items.front();
   }
   static void ForgetDocument(DocumentStore* s, DocId doc) {
     s->docs_.erase(doc);
@@ -232,41 +237,83 @@ TEST(DocumentStoreTest, ApplyClampsRanksAndHandlesEmptyDocs) {
 // ---------------------------------------------------------------------------
 
 TEST(DocumentStoreTest, FeedCarriesLiveHistoryOnly) {
-  // Front inserts on a small-f tree force plenty of relabel passes; the
-  // huge capacity keeps the full history replayable.
-  auto store = MakeStore({.num_shards = 1,
-                          .scheme_spec = "ltree:4:2",
-                          .feed_capacity = 1 << 20});
+  // Front inserts on a small-f tree force plenty of relabel passes, and the
+  // erases leave tombstones right where those passes run; the huge capacity
+  // keeps the full history replayable.
+  for (const char* spec : {"ltree:4:2", "ltree:4:2:purge", "virtual:4:2"}) {
+    auto store = MakeStore({.num_shards = 1,
+                            .scheme_spec = spec,
+                            .feed_capacity = 1 << 20});
+    ASSERT_TRUE(store->CreateDocument(1).ok());
+    ASSERT_TRUE(store->Append(1).ok());
+    for (int i = 0; i < 300; ++i) {
+      ASSERT_TRUE(store->InsertBeforeRank(1, 0).ok()) << spec;
+      if (i % 2 == 1) {
+        ASSERT_TRUE(store->EraseAt(1, 1).ok()) << spec;
+      }
+    }
+    // Replaying the feed into a cookie->label map must reproduce the live
+    // state exactly: no event may name an erased item.
+    std::unordered_map<LeafCookie, Label> replay;
+    uint64_t relabels = 0;
+    const std::vector<FeedEvent> events =
+        store->feed(0).EventsSince(0).ValueOrDie();
+    for (const FeedEvent& event : events) {
+      switch (event.kind) {
+        case FeedEvent::Kind::kInsert:
+          ASSERT_EQ(replay.count(event.cookie), 0u)
+              << spec << " " << event.ToString();
+          replay[event.cookie] = event.new_label;
+          break;
+        case FeedEvent::Kind::kRelabel:
+          ASSERT_EQ(replay.count(event.cookie), 1u)
+              << spec << " " << event.ToString();
+          replay[event.cookie] = event.new_label;
+          ++relabels;
+          break;
+        case FeedEvent::Kind::kErase:
+          ASSERT_EQ(replay.count(event.cookie), 1u)
+              << spec << " " << event.ToString();
+          ASSERT_EQ(replay[event.cookie], event.old_label) << spec;
+          replay.erase(event.cookie);
+          break;
+      }
+    }
+    const auto state = store->ShardState(0);
+    ASSERT_EQ(state.size(), 151u) << spec;
+    ASSERT_EQ(replay.size(), state.size()) << spec;
+    for (const auto& [label, cookie] : state) {
+      ASSERT_EQ(replay.at(cookie), label) << spec;
+    }
+    // The scheme counted tombstone relabels the feed never carried.
+    EXPECT_LT(relabels, store->stats().rollup.items_relabeled) << spec;
+  }
+}
+
+TEST(DocumentStoreTest, FailedBatchPublishesNothing) {
+  // A 2^62 gap fits four labels in 64 bits, so after one append the
+  // per-item batch fallback places three items, fails on the fourth and
+  // rolls the three back; the feed must never see them.
+  auto store = MakeStore(
+      {.num_shards = 1, .scheme_spec = "gap:4611686018427387904"});
   ASSERT_TRUE(store->CreateDocument(1).ok());
   ASSERT_TRUE(store->Append(1).ok());
-  for (int i = 0; i < 200; ++i) {
-    ASSERT_TRUE(store->InsertBeforeRank(1, 0).ok());
-  }
-  // Replaying the feed into a cookie->label map must reproduce the live
-  // state exactly (tombstone shuffles are filtered at the tap).
-  std::unordered_map<LeafCookie, Label> replay;
-  const std::vector<FeedEvent> events =
-      store->feed(0).EventsSince(0).ValueOrDie();
-  for (const FeedEvent& event : events) {
-    switch (event.kind) {
-      case FeedEvent::Kind::kInsert:
-        ASSERT_EQ(replay.count(event.cookie), 0u) << event.ToString();
-        replay[event.cookie] = event.new_label;
-        break;
-      case FeedEvent::Kind::kRelabel:
-        ASSERT_EQ(replay.count(event.cookie), 1u) << event.ToString();
-        replay[event.cookie] = event.new_label;
-        break;
-      case FeedEvent::Kind::kErase:
-        ASSERT_EQ(replay.erase(event.cookie), 1u) << event.ToString();
-        break;
-    }
-  }
-  const auto state = store->ShardState(0);
-  ASSERT_EQ(replay.size(), state.size());
-  for (const auto& [label, cookie] : state) {
-    ASSERT_EQ(replay.at(cookie), label);
-  }
+  MirrorStore mirror(1);
+  ASSERT_TRUE(mirror.Sync(*store).ok());
+  const uint64_t head = store->feed(0).last_seq();
+
+  EXPECT_TRUE(store->InsertBatchAfterRank(1, 0, 5).IsCapacityExceeded());
+  EXPECT_EQ(store->feed(0).last_seq(), head);
+  EXPECT_EQ(store->DocSize(1).ValueOrDie(), 1u);
+  EXPECT_EQ(store->stats().rollup.erases, 3u);  // the rollback ran
+  const audit::Report report = store->Validate();
+  EXPECT_TRUE(report.ok()) << report.ToString();
+
+  ASSERT_TRUE(store->Append(1).ok());
+  const Status sync = mirror.Sync(*store);
+  ASSERT_TRUE(sync.ok()) << sync.ToString();
+  const Status eq = mirror.CheckEquivalent(*store);
+  EXPECT_TRUE(eq.ok()) << eq.ToString();
 }
 
 TEST(DocumentStoreTest, CatchUpServesDeltaThenSnapshotAfterTrim) {
@@ -416,11 +463,25 @@ TEST(DocumentStoreAuditTest, PhantomItemIsReported) {
   EXPECT_TRUE(report.HasRule("shard-routing"));
 }
 
+TEST(DocumentStoreAuditTest, DoublyRegisteredHandleIsReported) {
+  auto store = MakeStore({.num_shards = 2});
+  ASSERT_TRUE(store->CreateDocument(1).ok());
+  ASSERT_TRUE(store->Append(1).ok());
+  ASSERT_TRUE(store->Append(1).ok());
+  // Every registered handle still resolves and the counts still agree;
+  // only the repeat gives the desync away.
+  DocumentStoreTestPeer::RegisterFirstItemTwice(store.get(), 1);
+  const audit::Report report = store->Validate();
+  EXPECT_FALSE(report.ok());
+  EXPECT_TRUE(report.HasRule("shard-routing"));
+}
+
 TEST(DocumentStoreAuditTest, ForgottenDocumentBreaksConservation) {
   auto store = MakeStore({.num_shards = 2});
   ASSERT_TRUE(store->CreateDocument(1).ok());
   ASSERT_TRUE(store->Append(1).ok());
-  // Dropping the registry entry orphans the item in the shard live table.
+  // Dropping the registry entry leaves the item live in its shard scheme
+  // with no registered handle.
   DocumentStoreTestPeer::ForgetDocument(store.get(), 1);
   const audit::Report report = store->Validate();
   EXPECT_FALSE(report.ok());

@@ -248,6 +248,31 @@ TEST(MirrorStoreTest, DeltaGapsAndUnknownCookiesAreRejected) {
   EXPECT_TRUE(mirror.ApplyCatchUp(0, misaligned).IsCorruption());
 
   EXPECT_TRUE(mirror.ApplyCatchUp(9, {}).IsInvalidArgument());
+
+  // A snapshot must be one: strictly increasing labels, distinct cookies.
+  // A malformed one changes neither the shard nor its position.
+  CatchUpResult good;
+  good.snapshot = true;
+  good.to_seq = 4;
+  good.state = {{10, 7}, {20, 8}};
+  ASSERT_TRUE(mirror.ApplyCatchUp(1, good).ok());
+
+  CatchUpResult repeated_cookie;
+  repeated_cookie.snapshot = true;
+  repeated_cookie.to_seq = 9;
+  repeated_cookie.state = {{1, 7}, {2, 5}, {3, 7}};
+  EXPECT_TRUE(mirror.ApplyCatchUp(1, repeated_cookie).IsCorruption());
+  EXPECT_EQ(mirror.ShardItems(1), 2u);
+  EXPECT_EQ(mirror.state_vector().seq(1), 4u);
+
+  CatchUpResult unordered;
+  unordered.snapshot = true;
+  unordered.to_seq = 9;
+  unordered.state = {{5, 1}, {3, 2}, {9, 3}};
+  EXPECT_TRUE(mirror.ApplyCatchUp(1, unordered).IsCorruption());
+  EXPECT_EQ(mirror.ShardItems(1), 2u);
+  EXPECT_EQ(mirror.state_vector().seq(1), 4u);
+  EXPECT_EQ(mirror.ShardState(1), good.state);
 }
 
 TEST(MirrorStoreTest, ShardCountMismatchIsRejected) {

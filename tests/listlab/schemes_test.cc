@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <ostream>
+#include <set>
 
 #include "listlab/bender_list.h"
 #include "listlab/factory.h"
@@ -331,17 +332,19 @@ TEST(FactoryTest, RejectsBadSpecs) {
   }
 }
 
-// The RelabelListener must fire for exactly the items whose labels change,
-// on every scheme.
+// The RelabelListener must fire for exactly the live items whose labels
+// change, on every scheme.
 class CountingListener : public RelabelListener {
  public:
   void OnRelabel(LeafCookie cookie, Label old_label,
                  Label new_label) override {
-    (void)cookie;
     EXPECT_NE(old_label, new_label);
     ++events;
+    if (erased.count(cookie) != 0) ++erased_reported;
   }
   uint64_t events = 0;
+  std::set<LeafCookie> erased;
+  uint64_t erased_reported = 0;
 };
 
 class ListenerTest : public ::testing::TestWithParam<std::string> {};
@@ -357,6 +360,25 @@ TEST_P(ListenerTest, RelabelEventsMatchStats) {
     ASSERT_TRUE(m->InsertAfter(ids[7], 100 + i).ok());
   }
   EXPECT_EQ(listener.events, m->stats().items_relabeled) << m->name();
+}
+
+TEST_P(ListenerTest, ErasedItemsAreNeverReported) {
+  // Rebuilds move the L-Tree schemes' tombstones and count those relabels
+  // in the stats, but no one outside the scheme can read a tombstone.
+  auto m = MakeLabelStore(GetParam()).ValueOrDie();
+  CountingListener listener;
+  m->set_listener(&listener);
+  std::vector<ItemHandle> ids;
+  ASSERT_TRUE(m->BulkLoad(16, &ids).ok());  // cookies 0..15
+  for (size_t i = 0; i < ids.size(); i += 2) {
+    ASSERT_TRUE(m->Erase(ids[i]).ok());
+    listener.erased.insert(i);
+  }
+  for (int i = 0; i < 300; ++i) {
+    ASSERT_TRUE(m->InsertAfter(ids[7], 100 + i).ok());
+  }
+  EXPECT_EQ(listener.erased_reported, 0u) << m->name();
+  EXPECT_LE(listener.events, m->stats().items_relabeled) << m->name();
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, ListenerTest,
