@@ -7,10 +7,12 @@
 //  2. The L-Tree keeps those labels valid under updates, so no re-indexing
 //     happens between edits (queries run unchanged and stay correct).
 //
-// Checks: both plans return the same answer on every path, the label-join
-// plan beats the edge-table plan on every path (speedup > 1), and the
-// //book//title answer stays correct across 500 interleaved fragment
-// inserts. Set BENCH_PIN_CPU=<core> for stable timings.
+// Checks: both plans return the same rows in the same order on every
+// path, the label-join plan beats the edge-table plan on every path
+// (speedup > 1), the //book//title answer grows by the inserted titles
+// across 500 interleaved fragment inserts, and afterwards the label plan
+// returns the DOM's ids on every path. Set BENCH_PIN_CPU=<core> for stable
+// timings.
 
 #include <cstdio>
 #include <vector>
@@ -22,6 +24,17 @@
 #include "workload/xml_generator.h"
 
 using namespace ltree;
+
+namespace {
+
+std::vector<xml::NodeId> Ids(const std::vector<const query::NodeRow*>& rows) {
+  std::vector<xml::NodeId> ids;
+  ids.reserve(rows.size());
+  for (const query::NodeRow* row : rows) ids.push_back(row->id);
+  return ids;
+}
+
+}  // namespace
 
 int main() {
   bench::PrintHeader(
@@ -46,22 +59,21 @@ int main() {
               "labels(ms)", "edges(ms)", "speedup", "edgejoins");
   for (const char* path : paths) {
     auto q = query::PathQuery::Parse(path).ValueOrDie();
-    size_t n1 = 0;
+    std::vector<const query::NodeRow*> label_rows, edge_rows;
     Timer t1;
     for (int i = 0; i < kReps; ++i) {
-      n1 = query::EvaluateWithLabels(q, store->table()).size();
+      label_rows = query::EvaluateWithLabels(q, store->table());
     }
     const double label_ms = t1.ElapsedMillis() / kReps;
     Timer t2;
-    size_t n2 = 0;
     uint64_t joins = 0;
     for (int i = 0; i < kReps; ++i) {
-      n2 = query::EvaluateWithEdges(q, store->table(), &joins).size();
+      edge_rows = query::EvaluateWithEdges(q, store->table(), &joins);
     }
     const double edge_ms = t2.ElapsedMillis() / kReps;
-    LTREE_CHECK(n1 == n2);
-    std::printf("%-22s %10zu %12.3f %12.3f %9.1fx %10llu\n", path, n1,
-                label_ms, edge_ms, edge_ms / label_ms,
+    LTREE_CHECK(Ids(label_rows) == Ids(edge_rows));
+    std::printf("%-22s %10zu %12.3f %12.3f %9.1fx %10llu\n", path,
+                label_rows.size(), label_ms, edge_ms, edge_ms / label_ms,
                 (unsigned long long)joins);
     LTREE_CHECK(edge_ms > label_ms);
   }
@@ -88,6 +100,11 @@ int main() {
               "relabeled leaves total: %llu\n",
               edit_timer.ElapsedMicros() / 500.0,
               (unsigned long long)store->label_store().stats().items_relabeled);
+  for (const char* path : paths) {
+    auto pq = query::PathQuery::Parse(path).ValueOrDie();
+    LTREE_CHECK(Ids(query::EvaluateWithLabels(pq, store->table())) ==
+                query::EvaluateOnDocument(pq, store->document()));
+  }
   LTREE_CHECK_OK(store->CheckConsistency());
   return 0;
 }

@@ -113,19 +113,19 @@ std::vector<const NodeRow*> EvaluateWithLabels(const PathQuery& query,
         contexts = candidates;
         continue;
       }
-      // Anchored at the (virtual) document root: keep level-0 matches.
-      for (const Slot s : candidates) {
-        if (table.key(s).level == 0) matched.push_back(s);
+      // Anchored at the document root, the one level-0 element. Its begin
+      // tag has the document's smallest label, so it can only be the
+      // first candidate.
+      if (!candidates.empty() && table.key(candidates.front()).level == 0) {
+        matched.push_back(candidates.front());
       }
     } else {
-      // At most every candidate matches; writing through a raw cursor
-      // keeps the join loop free of push_back's bookkeeping.
+      // At most every candidate matches.
       next.resize(candidates.size());
-      Slot* cursor = next.data();
-      SemiJoin(contexts, candidates, key_of,
-               step.axis == PathStep::Axis::kChild,
-               [&cursor](Slot s) { *cursor++ = s; });
-      next.resize(static_cast<size_t>(cursor - next.data()));
+      Slot* const end =
+          SemiJoin(contexts, candidates, key_of,
+                   step.axis == PathStep::Axis::kChild, next.data());
+      next.resize(static_cast<size_t>(end - next.data()));
       matched.swap(next);
     }
     contexts = matched;

@@ -47,9 +47,13 @@ class PathQuery {
 };
 
 /// Label-based plan: matching element rows, sorted by start label. Each
-/// step after the first is one StackJoin (structural_join.h) of the
+/// step after the first is one SemiJoin (structural_join.h) of the
 /// previous step's slots with the step tag's index, reading only the
-/// table's compact keys: O(|contexts| + |tag index|). A "*" step first
+/// table's compact keys. It reads O(log gap) keys to skip the tag-index
+/// entries between two contexts' runs, so its cost is O(|contexts|) plus
+/// O(log gap) per outermost context plus the run it writes: a "//" step
+/// copies each run after O(log run) reads, a "/" step reads each run's
+/// keys. An anchored first step ("/x") reads one slot. A "*" step first
 /// merges every tag index, O(n log t) for t tags. Rows are looked up only
 /// for the result; they stay valid as node_table.h states.
 std::vector<const NodeRow*> EvaluateWithLabels(const PathQuery& query,

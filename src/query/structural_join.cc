@@ -28,9 +28,10 @@ std::vector<JoinPair> RowPairJoin(Rows ancestors, Rows descendants,
 
 std::vector<const NodeRow*> RowSemiJoin(Rows ancestors, Rows descendants,
                                         bool child_only) {
-  std::vector<const NodeRow*> out;
-  SemiJoin(ancestors, descendants, KeyOf, child_only,
-           [&out](const NodeRow* d) { out.push_back(d); });
+  std::vector<const NodeRow*> out(descendants.size());
+  const NodeRow** const end =
+      SemiJoin(ancestors, descendants, KeyOf, child_only, out.data());
+  out.resize(static_cast<size_t>(end - out.data()));
   return out;
 }
 

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/random.h"
 #include "docstore/labeled_document.h"
 #include "workload/xml_generator.h"
 
@@ -116,6 +117,19 @@ TEST_F(EvaluatorFixture, AnchoredRootMismatch) {
   EXPECT_EQ(LabelIds("/a").size(), 1u);
 }
 
+TEST_F(EvaluatorFixture, AnchoredFirstStepFindsOnlyTheRoot) {
+  // The inner <a> also matches "a" but sits below the root.
+  Load("<a><b><a/></b></a>");
+  const xml::NodeId root = store_->document().root()->id;
+  EXPECT_EQ(LabelIds("/a"), std::vector<xml::NodeId>{root});
+  EXPECT_EQ(LabelIds("/a"), DomIds("/a"));
+  EXPECT_EQ(LabelIds("/a"), EdgeIds("/a"));
+  ASSERT_EQ(LabelIds("/a//a").size(), 1u);
+  EXPECT_NE(LabelIds("/a//a")[0], root);
+  EXPECT_EQ(LabelIds("/a//a"), DomIds("/a//a"));
+  EXPECT_EQ(LabelIds("/a//a"), EdgeIds("/a//a"));
+}
+
 TEST_F(EvaluatorFixture, SelfNestedTags) {
   // Same tag nested: //a//a must not report the outer node.
   Load("<a><a><a/></a></a>");
@@ -146,34 +160,104 @@ TEST_F(EvaluatorFixture, EdgePlanCountsJoins) {
   EXPECT_GT(joins, 2u);
 }
 
-class RandomDocAgreementTest : public ::testing::TestWithParam<uint64_t> {};
+class RandomDocAgreementTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void Load() {
+    workload::RandomDocOptions opts;
+    opts.num_elements = 400;
+    opts.tag_vocabulary = 6;
+    opts.seed = GetParam();
+    store_ = docstore::LabeledDocument::FromDocument(
+                 workload::GenerateRandomDocument(opts), "ltree:16:4")
+                 .MoveValueUnsafe();
+  }
+
+  /// The label, edge and DOM plans return the same ids on every path.
+  void ExpectAgreement(const std::string& when) {
+    const char* paths[] = {"//tag0",         "//tag1//tag2", "/root//tag3",
+                           "/root/*",        "//tag4/tag5",  "//*//tag0",
+                           "root/tag1/tag1", "//tag2//*",    "//tag1/tag1",
+                           "//tag0//tag0/tag2"};
+    for (const char* path : paths) {
+      auto q = query::PathQuery::Parse(path).ValueOrDie();
+      std::vector<xml::NodeId> label_ids;
+      for (const NodeRow* row : EvaluateWithLabels(q, store_->table())) {
+        label_ids.push_back(row->id);
+      }
+      std::vector<xml::NodeId> edge_ids;
+      for (const NodeRow* row : EvaluateWithEdges(q, store_->table())) {
+        edge_ids.push_back(row->id);
+      }
+      std::vector<xml::NodeId> dom_ids =
+          EvaluateOnDocument(q, store_->document());
+      EXPECT_EQ(label_ids, dom_ids)
+          << path << " seed " << GetParam() << " " << when;
+      EXPECT_EQ(edge_ids, dom_ids)
+          << path << " seed " << GetParam() << " " << when;
+    }
+  }
+
+  std::unique_ptr<docstore::LabeledDocument> store_;
+};
 
 TEST_P(RandomDocAgreementTest, ThreeEvaluatorsAgree) {
-  workload::RandomDocOptions opts;
-  opts.num_elements = 400;
-  opts.tag_vocabulary = 6;
-  opts.seed = GetParam();
-  xml::Document doc = workload::GenerateRandomDocument(opts);
-  auto store =
-      docstore::LabeledDocument::FromDocument(std::move(doc), "ltree:16:4")
-          .MoveValueUnsafe();
-  const char* paths[] = {"//tag0",         "//tag1//tag2", "/root//tag3",
-                         "/root/*",        "//tag4/tag5",  "//*//tag0",
-                         "root/tag1/tag1", "//tag2//*"};
-  for (const char* path : paths) {
-    auto q = query::PathQuery::Parse(path).ValueOrDie();
-    std::vector<xml::NodeId> label_ids;
-    for (const NodeRow* row : EvaluateWithLabels(q, store->table())) {
-      label_ids.push_back(row->id);
+  Load();
+  ExpectAgreement("after load");
+}
+
+/// A 1-3-level fragment over the document's tags: a root with up to two
+/// children, each with up to two children.
+std::string RandomFragment(Rng* rng) {
+  std::string xml;
+  auto element = [&](auto& self, int levels) -> void {
+    const std::string tag = std::to_string(rng->Uniform(6));
+    xml.append("<tag").append(tag).append(">");
+    if (levels > 1) {
+      for (uint64_t k = rng->Uniform(3); k > 0; --k) self(self, levels - 1);
     }
-    std::vector<xml::NodeId> edge_ids;
-    for (const NodeRow* row : EvaluateWithEdges(q, store->table())) {
-      edge_ids.push_back(row->id);
+    xml.append("</tag").append(tag).append(">");
+  };
+  element(element, 1 + static_cast<int>(rng->Uniform(3)));
+  return xml;
+}
+
+TEST_P(RandomDocAgreementTest, ThreeEvaluatorsAgreeAfterEdits) {
+  // Edits break the fresh load's slot order = document order and nest
+  // tags anew, so joins see reused slots and nested child-step contexts.
+  Load();
+  Rng rng(GetParam());
+  const xml::NodeId root = store_->document().root()->id;
+  for (int round = 0; round < 6; ++round) {
+    for (int edit = 0; edit < 10; ++edit) {
+      const std::vector<const NodeRow*> elements =
+          store_->table().AllElements();
+      const NodeRow* target = elements[rng.Uniform(elements.size())];
+      if (rng.Uniform(2) == 0 || target->id == root) {
+        // Insert after a random child of the target, or as its last child.
+        std::vector<xml::NodeId> children;
+        for (const xml::Node* c =
+                 store_->document().FindById(target->id)->first_child;
+             c != nullptr; c = c->next_sibling) {
+          children.push_back(c->id);
+        }
+        const xml::NodeId after =
+            children.empty() || rng.Uniform(3) == 0
+                ? 0
+                : children[rng.Uniform(children.size())];
+        ASSERT_TRUE(store_
+                        ->InsertFragment(target->id, after,
+                                         RandomFragment(&rng))
+                        .ok())
+            << "round " << round << " edit " << edit;
+      } else {
+        ASSERT_TRUE(store_->DeleteSubtree(target->id).ok())
+            << "round " << round << " edit " << edit;
+      }
     }
-    std::vector<xml::NodeId> dom_ids =
-        EvaluateOnDocument(q, store->document());
-    EXPECT_EQ(label_ids, dom_ids) << path << " seed " << GetParam();
-    EXPECT_EQ(edge_ids, dom_ids) << path << " seed " << GetParam();
+    std::string when = "after round ";
+    when.append(std::to_string(round));
+    ExpectAgreement(when);
+    ASSERT_TRUE(store_->CheckConsistency().ok()) << when;
   }
 }
 
